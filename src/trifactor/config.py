@@ -22,6 +22,16 @@ def as_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
+def ceil_frac(x: Fraction) -> int:
+    """Exact ceiling of a rational (or int)."""
+    return -(-x.numerator // x.denominator)
+
+
+def floor_frac(x: Fraction) -> int:
+    """Exact floor of a rational (or int)."""
+    return x.numerator // x.denominator
+
+
 @dataclass(frozen=True)
 class Config:
     delta0: float = 0.05        # extreme-case pairwise density threshold

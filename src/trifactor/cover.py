@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .config import Config
+from .config import Config, ceil_frac
 from .errors import (
+    InternalError,
     InternalHallFailureError,
     NoTriangleExistsError,
     PreconditionDegreeError,
@@ -55,8 +56,12 @@ from .matching import BipartiteView, max_matching
 MAX_REPLACED = 15  # hard cap on |T \ T0| per augmentation step
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _check_cover(g: TripartiteGraph, cover: TriangleCover, what: str,
+                 require_perfect: bool = False) -> None:
+    """Soundness gate: raise InternalError unless verify_cover accepts."""
+    verdict = verify_cover(g, cover, require_perfect=require_perfect)
+    if not verdict.ok:
+        raise InternalError(f"{what} produced an invalid cover: {verdict.reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def _ceil_div(a: int, b: int) -> int:
 def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None) -> TriangleCover:
     """Perfect cover under min cross-degree >= ceil(3N/4)."""
     n = g.n
-    need = _ceil_div(3 * n, 4)
+    need = ceil_frac(Fraction(3 * n, 4))
     if g.min_cross_degree() < need:
         raise PreconditionDegreeError(
             f"min cross-degree {g.min_cross_degree()} below ceil(3N/4) = {need}")
@@ -439,8 +444,9 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
         if work.replaced_count() > MAX_REPLACED:
             return Stuck(f"improvement needs {work.replaced_count()} replacements")
         new_cover = work.to_cover()
-        assert len(new_cover.triangles) > cover.size
-        assert verify_cover(g, new_cover).ok
+        if new_cover.size <= cover.size:
+            raise InternalError("augmentation step did not grow the cover")
+        _check_cover(g, new_cover, "augmentation step")
         return Improved(new_cover, work.replaced_count())
 
     # phase 1: direct extension
@@ -546,7 +552,7 @@ def _finish_improved(g, work, state):
     if work.replaced_count() > MAX_REPLACED:
         return Stuck(f"improvement needs {work.replaced_count()} replacements")
     new_cover = work.to_cover()
-    assert verify_cover(g, new_cover).ok
+    _check_cover(g, new_cover, "pinned phase")
     return Improved(new_cover, work.replaced_count())
 
 
@@ -739,11 +745,11 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
     steps: list[AugmentStepRecord] = []
     dmin = g.min_cross_degree()
 
-    if dmin >= _ceil_div(3 * n, 4):
+    if dmin >= ceil_frac(Fraction(3 * n, 4)):
         return SolveOutcome("cover", cover=easy_cover(g, cfg), source="easy")
 
     if n % 3:
-        if dmin >= _ceil_div(2 * n, 3):
+        if dmin >= ceil_frac(Fraction(2 * n, 3)):
             out = _solve_via_reduction(g, cfg, mode)
             if out is not None:
                 return out
@@ -772,7 +778,7 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
                     return resolved
             break
         if cover.size == n:
-            assert verify_cover(g, cover, require_perfect=True).ok
+            _check_cover(g, cover, "augmentation loop", require_perfect=True)
             return SolveOutcome("cover", cover=cover, source="constructive", steps=steps)
 
     return _fallback(g, cfg, mode, steps, witness=witness, budget=budget)
@@ -816,7 +822,7 @@ def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps):
     except WitnessInvalidError:
         return None
     if result.kind == "cover":
-        assert verify_cover(g, result.cover, require_perfect=True).ok
+        _check_cover(g, result.cover, "extreme-case cover", require_perfect=True)
         return SolveOutcome("cover", cover=result.cover, witness=witness,
                             structure=sw, source="extreme-cover", steps=steps)
     # exact gamma3 with odd scale: the one genuinely uncoverable family
@@ -839,24 +845,38 @@ class ReduceResult:
 
 
 def reduce_mod3(g: TripartiteGraph, cfg: Optional[Config] = None) -> ReduceResult:
-    """Remove 1 (N=3t+1) or 2 (N=3t+2) disjoint triangles, choosing at each
-    step the triangle whose removal keeps the minimum cross-degree largest
-    (ties broken lexicographically)."""
+    """Remove 1 (N=3t+1) or 2 (N=3t+2) disjoint triangles, leaving a balanced
+    graph on 3t vertices with min cross-degree >= 2t.
+
+    Selection rule: at each step take, among the triangles inside the kept
+    vertices, the one whose removal keeps the minimum cross-degree of the
+    kept graph largest; the first such triangle in (i0, i1, i2) order wins
+    ties.
+
+    Scoring: removing t = (v0, v1, v2) lowers the degree of a kept row
+    (a, i) into class b by one when i is adjacent to t[b], and leaves it
+    otherwise.  So per ordered class pair (a, b) only the two lowest degree
+    levels of the kept rows matter, held as bitmasks (_levels).  The pair's
+    part of the score is the value d of the first level left non-empty once
+    t[a] is dropped, minus one if that level meets t[b]'s neighbours; the
+    score is the minimum over the six pairs.  Each step costs one O(N) scan
+    of the kept row degrees, then O(1) bitmask operations per triangle
+    visited, where rescoring a triangle from its rows costs O(N).  The
+    (0,1)/(1,0) part is shared by all triangles on an edge v0-v1 and skips
+    their v2 loop when it cannot beat the best score, and the search stops
+    once the best score meets the bound no removal can exceed.
+    """
     n = g.n
     if n % 3 == 0:
         raise PreconditionDivisibilityError("N is divisible by 3")
-    need = _ceil_div(2 * n, 3)
+    need = ceil_frac(Fraction(2 * n, 3))
     if g.min_cross_degree() < need:
         raise PreconditionDegreeError(
             f"reduction needs min cross-degree >= ceil(2N/3) = {need}")
     removed: list[Triangle] = []
     keep = [(1 << n) - 1] * 3
     for _ in range(n % 3):
-        best, best_score = None, None
-        for t in _iter_triangles_within(g, keep):
-            score = _min_degree_after(g, keep, t)
-            if best_score is None or score > best_score:
-                best, best_score = t, score
+        best = _best_triangle(g, keep)
         if best is None:
             raise NoTriangleExistsError("no disjoint triangle available")
         removed.append(best)
@@ -864,30 +884,84 @@ def reduce_mod3(g: TripartiteGraph, cfg: Optional[Config] = None) -> ReduceResul
             keep[c] &= ~(1 << i)
     sub, maps = g.induce(keep)
     t = n // 3
-    assert sub.min_cross_degree() >= 2 * t, "reduction lost too much degree"
+    if sub.min_cross_degree() < 2 * t:
+        raise InternalError("reduction lost too much degree")
     return ReduceResult(sub, removed, maps)
 
 
-def _iter_triangles_within(g, keep):
-    r01, r02, r12 = g._rows[(0, 1)], g._rows[(0, 2)], g._rows[(1, 2)]
+def _levels(g: TripartiteGraph, keep, a: int, b: int):
+    """Lowest degree level of the kept class-a rows into keep[b] once one
+    row is dropped.
+
+    Returns (masks, values, bound).  For a kept class-a vertex x, masks[x]
+    holds the lowest-degree kept rows other than x and values[x] their
+    degree (an empty mask with value N if x is the only kept row).  bound
+    is the largest values[x], the most this pair's minimum degree can be
+    after any one removal.  keep[a] must be non-empty.
+    """
+    n = g.n
+    rows = g._rows[(a, b)]
+    kb = keep[b]
+    d0 = d1 = n
+    l0 = l1 = 0
+    for i in iter_bits(keep[a]):
+        d = (rows[i] & kb).bit_count()
+        if d < d0:
+            d0, l0, d1, l1 = d, 1 << i, d0, l0
+        elif d == d0:
+            l0 |= 1 << i
+        elif d < d1:
+            d1, l1 = d, 1 << i
+        elif d == d1:
+            l1 |= 1 << i
+    masks = [l0] * n
+    values = [d0] * n
+    if l0 & (l0 - 1):
+        for x in iter_bits(l0):
+            masks[x] = l0 & ~(1 << x)
+        return masks, values, d0
+    # a lone lowest row: dropping it exposes the next level (d1 = N if none)
+    x = l0.bit_length() - 1
+    masks[x], values[x] = l1, d1
+    return masks, values, d1
+
+
+def _best_triangle(g: TripartiteGraph, keep) -> Optional[Triangle]:
+    """reduce_mod3's choice among the triangles inside keep, or None."""
+    r = g._rows
+    m01, d01, b01 = _levels(g, keep, 0, 1)
+    m02, d02, b02 = _levels(g, keep, 0, 2)
+    m10, d10, b10 = _levels(g, keep, 1, 0)
+    m12, d12, b12 = _levels(g, keep, 1, 2)
+    m20, d20, b20 = _levels(g, keep, 2, 0)
+    m21, d21, b21 = _levels(g, keep, 2, 1)
+    bound = min(b01, b02, b10, b12, b20, b21)
+    r01, r02, r10 = r[(0, 1)], r[(0, 2)], r[(1, 0)]
+    r12, r20, r21 = r[(1, 2)], r[(2, 0)], r[(2, 1)]
+    k1, k2 = keep[1], keep[2]
+    best, best_score = None, -1
     for v0 in iter_bits(keep[0]):
-        for v1 in iter_bits(r01[v0] & keep[1]):
-            for v2 in iter_bits(r02[v0] & r12[v1] & keep[2]):
-                yield Triangle(v0, v1, v2)
-
-
-def _min_degree_after(g, keep, t) -> int:
-    masks = [keep[c] & ~(1 << t[c]) for c in range(3)]
-    best = g.n
-    for a in range(3):
-        for b in range(3):
-            if a == b:
+        n1, n2 = r01[v0], r02[v0]
+        l01, e01, l02, e02 = m01[v0], d01[v0], m02[v0], d02[v0]
+        for v1 in iter_bits(n1 & k1):
+            s01 = min(e01 - ((l01 & r10[v1]) != 0),
+                      d10[v1] - ((m10[v1] & n1) != 0))
+            if s01 <= best_score:
                 continue
-            rows = g._rows[(a, b)]
-            for i in iter_bits(masks[a]):
-                d = (rows[i] & masks[b]).bit_count()
-                if d < best:
-                    best = d
+            n12 = r12[v1]
+            l12, e12 = m12[v1], d12[v1]
+            for v2 in iter_bits(n2 & n12 & k2):
+                score = min(s01,
+                            e02 - ((l02 & r20[v2]) != 0),
+                            d20[v2] - ((m20[v2] & n2) != 0),
+                            e12 - ((l12 & r21[v2]) != 0),
+                            d21[v2] - ((m21[v2] & n12) != 0))
+                if score > best_score:
+                    best, best_score = Triangle(v0, v1, v2), score
+                    if score == bound:
+                        return best
+                    if score == s01:
+                        break  # no later v2 on this edge can score higher
     return best
 
 
@@ -901,7 +975,7 @@ def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str
         lifted = [Triangle(*(red.maps[c][t[c]] for c in range(3)))
                   for t in sub_out.cover.triangles]
         cover = TriangleCover(lifted + red.removed)
-        assert verify_cover(g, cover, require_perfect=True).ok
+        _check_cover(g, cover, "reduction lift", require_perfect=True)
         return SolveOutcome("cover", cover=cover, source="reduction",
                             steps=sub_out.steps)
     if sub_out.kind == "nofactor":

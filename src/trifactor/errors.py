@@ -5,6 +5,12 @@ class TrifactorError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(TrifactorError):
+    """A soundness gate failed: the library produced a result that its own
+    check rejects.  This is a bug, never a property of the input; the gates
+    raise it explicitly so that they also run under ``python -O``."""
+
+
 # -- graph construction / queries ------------------------------------------
 
 class WithinClassEdgeError(TrifactorError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .config import Config, as_fraction
+from .config import Config, as_fraction, ceil_frac, floor_frac
 from .cover import ExtremeWitness, match_triple_cover
 from .errors import (
     ModelMismatchError,
@@ -134,7 +134,7 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
     hi_cls = 2 * (Fraction(1) + as_fraction(eps)) * t
     if not lo_cls <= n <= hi_cls:
         raise SizeOutOfRangeError(f"class size {n} outside [{lo_cls}, {hi_cls}]")
-    thr = max(1, _ceil(as_fraction(inner) * t))
+    thr = max(1, ceil_frac(as_fraction(inner) * t))
     full = (1 << n) - 1
     cap = as_fraction(delta)
 
@@ -166,8 +166,8 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
 
         ok = True
         for c in range(3):
-            target = min(max(a[c].bit_count(), _ceil(max(lo_t, n - hi_t))),
-                         _floor(min(hi_t, n - lo_t)))
+            target = min(max(a[c].bit_count(), ceil_frac(max(lo_t, n - hi_t))),
+                         floor_frac(min(hi_t, n - lo_t)))
             if target < 1 or target >= n:
                 ok = False
                 break
@@ -230,14 +230,6 @@ def _resize_set(h: TripartiteGraph, c: int, mask: int, full: int, target: int,
                          key=lambda v: (offense(v), v))
         members.extend(outside[: target - len(members)])
     return mask_of(members)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +764,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
 
     # a lone stray edge into a sparse partner cannot break any completion,
     # so the atypicality threshold never drops below 2
-    eta_t = max(2, _ceil(as_fraction(eta) * t))
+    eta_t = max(2, ceil_frac(as_fraction(eta) * t))
     colored: dict = {}
 
     def is_typical(c: int, i: int, j: int) -> bool:
@@ -856,7 +848,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
     # halving into labeled pieces
     rng = random.Random(f"extreme-cover:{cfg.seed}")
     half = t_star // 2
-    cap = max(1, _floor(as_fraction(exchange_cap_frac) * t))
+    cap = max(1, floor_frac(as_fraction(exchange_cap_frac) * t))
     pieces: dict = {lab: {} for lab in _labels(sw.model)}
     for c in range(3):
         for j in range(3):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from .config import ceil_frac, floor_frac
 from .errors import NotANonEdgeError
 from .graph import TripartiteGraph, VertexRef, build_graph, iter_bits
 
@@ -165,8 +166,8 @@ def approx_blow_up(g: MultiClassGraph, t: int, eps: float, delta_density: float,
     if not (0 <= eps < 1 and 0 <= delta_density <= 1):
         raise ValueError("bad noise parameters")
     rng = random.Random(f"approx-blow-up:{seed}")
-    lo = max(1, _ceil_frac(Fraction(str(1 - eps)) * t))
-    hi = max(lo, _floor_frac(Fraction(str(1 + eps)) * t))
+    lo = max(1, ceil_frac(Fraction(str(1 - eps)) * t))
+    hi = max(lo, floor_frac(Fraction(str(1 + eps)) * t))
     sizes = [[rng.randint(lo, hi) for _ in range(s)] for s in g.sizes]
 
     if len(set(g.sizes)) == 1:
@@ -212,14 +213,6 @@ def approx_blow_up(g: MultiClassGraph, t: int, eps: float, delta_density: float,
     return ApproxBlowUp(graph, assignment, sizes, realized_eps, densities)
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 # -- convenience 3-class instances ------------------------------------------
 
 
@@ -260,7 +253,7 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     if not 0 <= delta_frac <= 1:
         raise ValueError("delta_frac must be in [0,1]")
     rng = random.Random(f"random-min-degree:{seed}")
-    target = _ceil_frac(Fraction(str(delta_frac)) * n)
+    target = ceil_frac(Fraction(str(delta_frac)) * n)
     g = TripartiteGraph.empty(n)
     rows = g._rows
     for a, b in ((0, 1), (0, 2), (1, 2)):

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 CLASS_PAIRS = ((0, 1), (0, 2), (1, 2))
+ORDERED_PAIRS = tuple((a, b) for a in range(3) for b in range(3) if a != b)
 
 
 class VertexRef(NamedTuple):
@@ -75,7 +76,7 @@ class TripartiteGraph:
 
     @classmethod
     def empty(cls, n: int) -> "TripartiteGraph":
-        rows = {(a, b): [0] * n for a in range(3) for b in range(3) if a != b}
+        rows = {key: [0] * n for key in ORDERED_PAIRS}
         return cls(n, rows)
 
     def copy_rows(self) -> dict[tuple[int, int], list[int]]:
@@ -218,22 +219,19 @@ class TripartiteGraph:
         sizes = {len(m) for m in maps}
         if len(sizes) != 1:
             raise ValueError("induced classes must have equal sizes")
-        m = len(maps[0])
-        sub = TripartiteGraph.empty(m)
-        rows = sub._rows
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                old = self._rows[(a, b)]
-                tgt = rows[(a, b)]
-                for new_i, old_i in enumerate(maps[a]):
-                    row = old[old_i]
-                    acc = 0
-                    for new_j, old_j in enumerate(maps[b]):
-                        acc |= (row >> old_j & 1) << new_j
-                    tgt[new_i] = acc
-        return sub, maps
+        runs = [_runs(keep[c]) for c in range(3)]
+        rows = {}
+        for a, b in ORDERED_PAIRS:
+            old, rb = self._rows[(a, b)], runs[b]
+            new = []
+            for old_i in maps[a]:
+                row = old[old_i]
+                acc = 0
+                for lo, width_mask, off in rb:
+                    acc |= (row >> lo & width_mask) << off
+                new.append(acc)
+            rows[(a, b)] = new
+        return TripartiteGraph(len(maps[0]), rows), maps
 
     # -- misc ------------------------------------------------------------------
 
@@ -250,6 +248,23 @@ class TripartiteGraph:
     def __repr__(self) -> str:
         m = sum(self.edge_count(a, b) for a, b in CLASS_PAIRS)
         return f"TripartiteGraph(n={self.n}, edges={m})"
+
+
+def _runs(mask: int) -> list[tuple[int, int, int]]:
+    """Maximal runs of set bits of mask as (start, width mask, offset): a
+    run's bits start at `start` in mask and at `offset` once the unset bits
+    are squeezed out."""
+    runs = []
+    off = 0
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        tail = mask >> lo
+        width = (~tail & (tail + 1)).bit_length() - 1
+        width_mask = (1 << width) - 1
+        runs.append((lo, width_mask, off))
+        off += width
+        mask ^= width_mask << lo
+    return runs
 
 
 def build_graph(n_per_class: int, edges: Iterable[tuple]) -> TripartiteGraph:

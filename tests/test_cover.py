@@ -1,7 +1,10 @@
 """Cover pipeline: easy cover, greedy, augmentation, solve, reduction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trifactor.cover
 from trifactor.config import Config
 from trifactor.cover import (
     AugmentState,
@@ -15,6 +18,7 @@ from trifactor.cover import (
     solve,
 )
 from trifactor.errors import (
+    InternalError,
     PreconditionDegreeError,
     PreconditionDivisibilityError,
     PreconditionViolatedError,
@@ -26,7 +30,14 @@ from trifactor.families import (
     gen_random_min_degree,
     theta32,
 )
-from trifactor.graph import Triangle, TriangleCover, build_graph, verify_cover
+from trifactor.graph import (
+    CoverVerdict,
+    Triangle,
+    TriangleCover,
+    build_graph,
+    iter_bits,
+    verify_cover,
+)
 
 
 def all_cross_edges(n, skip=lambda a, b, i, j: False):
@@ -305,6 +316,90 @@ def test_reduce_end_to_end(n, seed):
     assert out.has_factor_decision() == want
     if out.cover:
         assert verify_cover(g, out.cover, require_perfect=True).ok
+
+
+def reference_reduction(g):
+    """reduce_mod3's selection rule by brute force: score every triangle
+    inside the kept vertices by rescanning every kept row's degree."""
+    n = g.n
+    keep = [(1 << n) - 1] * 3
+    removed = []
+    for _ in range(n % 3):
+        best, best_score = None, None
+        for t in g.iter_triangles():
+            if not all(keep[c] >> t[c] & 1 for c in range(3)):
+                continue
+            masks = [keep[c] & ~(1 << t[c]) for c in range(3)]
+            score = n
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        for i in iter_bits(masks[a]):
+                            d = (g.nbr_mask(a, i, b) & masks[b]).bit_count()
+                            score = min(score, d)
+            if best_score is None or score > best_score:
+                best, best_score = t, score
+        removed.append(best)
+        for c in range(3):
+            keep[c] &= ~(1 << best[c])
+    return removed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20]),
+       st.floats(2 / 3, 0.9), st.integers(0, 10**6))
+def test_reduce_choice_matches_reference(n, frac, seed):
+    g = gen_random_min_degree(n, frac, seed)
+    assert reduce_mod3(g).removed == reference_reduction(g)
+
+
+@st.composite
+def thinned_complete(draw):
+    """A complete tripartite graph with random edges deleted while both
+    ends keep cross-degree >= ceil(2N/3): many distinct degree levels, so
+    the scoring's level and tie-break cases all occur."""
+    n = draw(st.sampled_from([4, 5, 7, 8, 10, 11, 13, 14]))
+    need = -(-2 * n // 3)
+    pairs = [((a, i), (b, j)) for a, b in ((0, 1), (0, 2), (1, 2))
+             for i in range(n) for j in range(n)]
+    order = draw(st.permutations(pairs))
+    dropped = set(order[:draw(st.integers(0, len(pairs)))])
+    degree = {}
+    kept = []
+    for (a, i), (b, j) in pairs:
+        if (((a, i), (b, j)) in dropped and degree.get((a, i, b), n) > need
+                and degree.get((b, j, a), n) > need):
+            degree[(a, i, b)] = degree.get((a, i, b), n) - 1
+            degree[(b, j, a)] = degree.get((b, j, a), n) - 1
+        else:
+            kept.append(((a, i), (b, j)))
+    return build_graph(n, kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(thinned_complete())
+def test_reduce_choice_matches_reference_on_thinned_complete(g):
+    assert reduce_mod3(g).removed == reference_reduction(g)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reduce_to_empty_graph(n):
+    g = complete_tripartite(n)
+    red = reduce_mod3(g)
+    assert red.removed == reference_reduction(g) == [Triangle(i, i, i) for i in range(n)]
+    assert red.graph.n == 0
+    assert red.maps == [[], [], []]
+
+
+def test_soundness_gate_raises_under_optimize(monkeypatch):
+    # the lifted cover of a reduction passes through an explicit gate, not
+    # an assert, so a rejected cover surfaces even under python -O
+    g = gen_random_min_degree(17, 0.7, 0)
+    assert solve(g, Config(seed=0)).source == "reduction"
+    monkeypatch.setattr(trifactor.cover, "verify_cover",
+                        lambda *args, **kw: CoverVerdict(False, "rejected"))
+    with pytest.raises(InternalError):
+        solve(g, Config(seed=0))
 
 
 def test_reduction_swap_on_augmented_gamma():

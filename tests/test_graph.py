@@ -20,6 +20,7 @@ from trifactor.graph import (
     build_graph,
     cross_degree,
     density,
+    iter_bits,
     verify_cover,
 )
 
@@ -184,3 +185,53 @@ def test_density_symmetry(raw, k1, k2):
     a = [(0, i) for i in range(k1 + 1)]
     b = [(2, j) for j in range(k2 + 1)]
     assert density(g, a, b) == density(g, b, a)
+
+
+def reference_induce(g, keep):
+    """Induced rows copied bit by bit, with the new -> old index maps."""
+    maps = [list(iter_bits(keep[c])) for c in range(3)]
+    rows = {}
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                rows[(a, b)] = [
+                    sum((g.nbr_mask(a, i, b) >> j & 1) << k for k, j in enumerate(maps[b]))
+                    for i in maps[a]]
+    return rows, maps
+
+
+@st.composite
+def graph_and_keep(draw):
+    n = draw(st.integers(1, 20))
+    pairs = all_cross_pairs(n)
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n * n))
+    g = build_graph(n, chosen)
+    size = draw(st.integers(0, n))
+
+    def one_mask():
+        kind = draw(st.sampled_from(["subset", "run"]))
+        if kind == "run":
+            start = draw(st.integers(0, n - size))
+            return ((1 << size) - 1) << start
+        picks = draw(st.permutations(range(n)))[:size]
+        return sum(1 << i for i in picks)
+
+    return g, [one_mask() for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_keep())
+def test_induce_matches_bitwise_reference(case):
+    # size 0 gives the empty mask, size n the full one, "run" a single run
+    g, keep = case
+    sub, maps = g.induce(keep)
+    rows, ref_maps = reference_induce(g, keep)
+    assert maps == ref_maps
+    assert sub.n == len(maps[0])
+    for key, ref_rows in rows.items():
+        assert [sub.nbr_mask(key[0], i, key[1]) for i in range(sub.n)] == ref_rows
+
+
+def test_induce_rejects_unequal_sizes():
+    with pytest.raises(ValueError):
+        complete_tripartite(3).induce([0b111, 0b11, 0b11])
