@@ -273,10 +273,12 @@ class _Work:
             for c, i in enumerate(t):
                 del self.owner[c][i]
         for t in added:
-            assert self.g.triangle_exists(t), f"exchange built a non-triangle {t}"
+            if not self.g.triangle_exists(t):
+                raise InternalError(f"exchange built a non-triangle {t}")
             self.tris.add(t)
             for c, i in enumerate(t):
-                assert i not in self.owner[c], "exchange broke disjointness"
+                if i in self.owner[c]:
+                    raise InternalError("exchange broke disjointness")
                 self.owner[c][i] = t
 
     def replaced_count(self) -> int:

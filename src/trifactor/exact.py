@@ -2,9 +2,19 @@
 
 The decision problem is 3-dimensional matching restricted to a tripartite
 graph, so the search assigns each class-0 vertex a (class-1, class-2)
-neighbor pair via bitset intersections.  Branching picks the uncovered
-class-0 vertex with the fewest remaining completions; a node is pruned as
-soon as any uncovered vertex (in any class) has no completion left.
+neighbor pair via bitset intersections.
+
+Every node holds, for every free vertex of every class, the number of free
+triangles through it (its completions).  The root counts come from one
+pass over the (0,1) edges and one over the (0,2) edges.  A child builds its
+counts from its parent's lists instead of rescanning the graph: placing
+(u0, u1, u2) only changes the counts of vertices adjacent to one of the
+three, and each of those loses at most two popcounts' worth of triangles -
+those through the first covered vertex it sees, then those through the
+second but not the first (in the spirit of Knuth's dancing links, which
+keeps Algorithm X's column sizes the same way).  Branching picks the first
+free class-0 vertex with the fewest completions (fail-first); a node is
+pruned as soon as any free vertex, in any class, has no completion left.
 
 Two additional, decision-preserving reductions keep structured extremal
 instances (the gamma/theta blow-up families) tractable:
@@ -13,7 +23,11 @@ instances (the gamma/theta blow-up families) tractable:
   interchangeable, so only one representative per (twin, twin) completion
   pair is branched on;
 * failure memoization keyed by per-twin-group covered counts - two states
-  that agree on those counts are automorphic images of each other.
+  that agree on those counts are automorphic images of each other.  The
+  key is a single int: each twin group owns a bit field of
+  ``size.bit_length()`` bits that holds its covered count, so a child's key
+  is its parent's plus one unit in the field of each of its triangle's
+  three groups.
 
 Both are disabled in counting mode, where every leaf must be visited.
 """
@@ -21,11 +35,12 @@ Both are disabled in counting mode, where every leaf must be visited.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BudgetExceededError
-from .graph import Triangle, TriangleCover, TripartiteGraph, iter_bits, verify_cover
+from .errors import BudgetExceededError, InternalError
+from .graph import Triangle, TriangleCover, TripartiteGraph, verify_cover
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -53,12 +68,19 @@ class _Budget(Exception):
     pass
 
 
+def _drop(counts: list[int], verts: int, rows: list[int], via: int) -> None:
+    """counts[x] -= |rows[x] & via| for every x in the bitmask verts."""
+    while verts:
+        low = verts & -verts
+        verts ^= low
+        x = low.bit_length() - 1
+        counts[x] -= (rows[x] & via).bit_count()
+
+
 class _Searcher:
     def __init__(self, g: TripartiteGraph, budget: int, count_mode: bool,
                  twin_pruning: bool):
-        self.g = g
         self.n = g.n
-        self.full = (1 << g.n) - 1
         self.budget = budget
         self.count_mode = count_mode
         self.twin_pruning = twin_pruning and not count_mode
@@ -66,10 +88,15 @@ class _Searcher:
         r = g._rows
         self.r01, self.r02, self.r12 = r[(0, 1)], r[(0, 2)], r[(1, 2)]
         self.r10, self.r20, self.r21 = r[(1, 0)], r[(2, 0)], r[(2, 1)]
+        # the count a covered class-0 vertex carries: above every real
+        # count, so it never wins the branching choice.  Covered class-1/2
+        # vertices keep their last count, which is at least 1.
+        self.covered = g.n * g.n + 1
         self.count = 0
         self.solution: Optional[list[Triangle]] = None
         if self.twin_pruning:
             self.groups = self._twin_groups()
+            self.units = self._key_units()
             self.failed: set = set()
         else:
             self.groups = None
@@ -87,116 +114,140 @@ class _Searcher:
             out.append([ids.setdefault(k, len(ids)) for k in keys])
         return out
 
-    def _state_key(self, cov0: int, cov1: int, cov2: int):
-        counts = []
-        for c, cov in ((0, cov0), (1, cov1), (2, cov2)):
-            gids = self.groups[c]
-            cnt = [0] * (max(gids) + 1)
-            for i in iter_bits(cov):
-                cnt[gids[i]] += 1
-            counts.append(tuple(cnt))
-        return tuple(counts)
+    def _key_units(self) -> list[list[int]]:
+        """units[c][i] = lowest bit of the memo-key field of i's twin group.
 
-    def _completions(self, v0: int, cov1: int, cov2: int) -> int:
-        total = 0
-        free2 = ~cov2
-        base2 = self.r02[v0] & free2 & self.full
-        if not base2:
-            return 0
-        for v1 in iter_bits(self.r01[v0] & ~cov1 & self.full):
-            total += (base2 & self.r12[v1]).bit_count()
-        return total
+        A group of size s gets s.bit_length() bits, enough for any covered
+        count 0..s, so the key determines every group's covered count."""
+        units, offset = [], 0
+        for gids in self.groups:
+            start = []
+            for size in Counter(gids).values():      # in group-id order
+                start.append(offset)
+                offset += size.bit_length()
+            units.append([1 << start[gid] for gid in gids])
+        return units
 
-    def _stuck_elsewhere(self, cov0: int, cov1: int, cov2: int) -> bool:
-        """True if some uncovered class-1/2 vertex has no completion left."""
-        free0 = ~cov0 & self.full
-        free1 = ~cov1 & self.full
-        free2 = ~cov2 & self.full
-        for v1 in iter_bits(free1):
-            row12 = self.r12[v1]
-            for v0 in iter_bits(self.r10[v1] & free0):
-                if self.r02[v0] & row12 & free2:
-                    break
-            else:
-                return True
-        for v2 in iter_bits(free2):
-            row21 = self.r21[v2]
-            for v0 in iter_bits(self.r20[v2] & free0):
-                if self.r01[v0] & row21 & free1:
-                    break
-            else:
-                return True
-        return False
+    def _root_counts(self) -> tuple[list[int], list[int], list[int]]:
+        """Completion counts of every vertex with all vertices free."""
+        n, r12, r21 = self.n, self.r12, self.r21
+        c0, c1, c2 = [0] * n, [0] * n, [0] * n
+        for v0, (row01, row02) in enumerate(zip(self.r01, self.r02)):
+            total = 0
+            rest = row01
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v1 = low.bit_length() - 1
+                k = (row02 & r12[v1]).bit_count()
+                total += k
+                c1[v1] += k
+            c0[v0] = total
+            rest = row02
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v2 = low.bit_length() - 1
+                c2[v2] += (row01 & r21[v2]).bit_count()
+        return c0, c1, c2
+
+    def _child_counts(self, f0: int, f1: int, f2: int, c0: list[int],
+                      c1: list[int], c2: list[int], u0: int, u1: int, u2: int):
+        """Counts after placing (u0, u1, u2), from the parent's counts.
+
+        f0, f1, f2 are the child's free masks.  A free vertex loses the
+        triangles through the first covered vertex it is adjacent to (the
+        other covered vertex of the third class still free in the popcount),
+        then those through the second with the first excluded."""
+        r01, r02, r12 = self.r01, self.r02, self.r12
+        r10, r20, r21 = self.r10, self.r20, self.r21
+        p1, p2 = f1 | (1 << u1), f2 | (1 << u2)
+        c0, c1, c2 = c0[:], c1[:], c2[:]
+        _drop(c0, r10[u1] & f0, r02, r12[u1] & p2)
+        _drop(c0, r20[u2] & f0, r01, r21[u2] & f1)
+        _drop(c1, r01[u0] & f1, r12, r02[u0] & p2)
+        _drop(c1, r21[u2] & f1, r10, r20[u2] & f0)
+        _drop(c2, r02[u0] & f2, r21, r01[u0] & p1)
+        _drop(c2, r12[u1] & f2, r20, r10[u1] & f0)
+        c0[u0] = self.covered
+        return c0, c1, c2
 
     def run(self) -> None:
         start = time.perf_counter()
         try:
-            self._dfs(0, 0, 0, [])
+            full = (1 << self.n) - 1
+            self._dfs(full, full, full, *self._root_counts(), 0, [])
         except _Budget:
             self.stats.elapsed = time.perf_counter() - start
             raise
         self.stats.elapsed = time.perf_counter() - start
 
-    def _dfs(self, cov0: int, cov1: int, cov2: int, acc: list[Triangle]) -> bool:
-        """Returns True when a perfect factor was found (and not counting)."""
-        if cov0 == self.full:
+    def _dfs(self, f0: int, f1: int, f2: int, c0: list[int], c1: list[int],
+             c2: list[int], key: int, acc: list[tuple[int, int, int]]) -> bool:
+        """Search below the state whose free masks are f0, f1, f2.
+
+        At the root, c0, c1, c2 are its completion counts and acc is empty.
+        Below it they are the parent's counts, and acc[-1] is the triangle
+        just placed; its changes are applied after the memo lookup.
+        Returns True when a perfect factor was found (and not counting)."""
+        if not f0:
             if self.count_mode:
                 self.count += 1
                 return False
-            self.solution = list(acc)
+            self.solution = [Triangle(*t) for t in acc]
             return True
 
-        self.stats.nodes_expanded += 1
-        if self.stats.nodes_expanded > self.budget:
+        stats = self.stats
+        stats.nodes_expanded += 1
+        if stats.nodes_expanded > self.budget:
             raise _Budget
         depth = len(acc)
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
+        if depth > stats.max_depth:
+            stats.max_depth = depth
 
-        if self.twin_pruning:
-            key = self._state_key(cov0, cov1, cov2)
-            if key in self.failed:
-                return False
-
-        # fail-first: class-0 vertex with fewest remaining completions
-        best_v0, best_cnt = -1, None
-        for v0 in iter_bits(~cov0 & self.full):
-            cnt = self._completions(v0, cov1, cov2)
-            if cnt == 0:
-                if self.twin_pruning:
-                    self.failed.add(key)
-                return False
-            if best_cnt is None or cnt < best_cnt:
-                best_v0, best_cnt = v0, cnt
-                if cnt == 1:
-                    break
-
-        if self._stuck_elsewhere(cov0, cov1, cov2):
-            if self.twin_pruning:
+        twins = self.twin_pruning
+        if twins and key in self.failed:
+            return False
+        if acc:
+            c0, c1, c2 = self._child_counts(f0, f1, f2, c0, c1, c2, *acc[-1])
+        if 0 in c0 or 0 in c1 or 0 in c2:
+            if twins:
                 self.failed.add(key)
             return False
 
-        v0 = best_v0
-        seen_pairs = set() if self.twin_pruning else None
-        g1, g2 = (self.groups[1], self.groups[2]) if self.twin_pruning else (None, None)
-        bit0 = 1 << v0
-        base2 = self.r02[v0] & ~cov2 & self.full
-        for v1 in iter_bits(self.r01[v0] & ~cov1 & self.full):
-            opts2 = base2 & self.r12[v1]
-            if not opts2:
-                continue
-            bit1 = 1 << v1
-            for v2 in iter_bits(opts2):
-                if seen_pairs is not None:
+        # fail-first: the first class-0 vertex with the fewest completions
+        v0 = c0.index(min(c0))
+        r12 = self.r12
+        nf0 = f0 ^ (1 << v0)
+        base2 = self.r02[v0] & f2
+        opts1 = self.r01[v0] & f1
+        if twins:
+            g1, g2 = self.groups[1], self.groups[2]
+            unit1, unit2 = self.units[1], self.units[2]
+            key0 = key + self.units[0][v0]
+            seen_pairs = set()
+        while opts1:
+            low1 = opts1 & -opts1
+            opts1 ^= low1
+            v1 = low1.bit_length() - 1
+            opts2 = base2 & r12[v1]
+            while opts2:
+                low2 = opts2 & -opts2
+                opts2 ^= low2
+                v2 = low2.bit_length() - 1
+                if twins:
                     pk = (g1[v1], g2[v2])
                     if pk in seen_pairs:
                         continue
                     seen_pairs.add(pk)
-                acc.append(Triangle(v0, v1, v2))
-                if self._dfs(cov0 | bit0, cov1 | bit1, cov2 | (1 << v2), acc):
+                    child_key = key0 + unit1[v1] + unit2[v2]
+                else:
+                    child_key = 0
+                acc.append((v0, v1, v2))
+                if self._dfs(nf0, f1 ^ low1, f2 ^ low2, c0, c1, c2, child_key, acc):
                     return True
                 acc.pop()
-        if self.twin_pruning:
+        if twins:
             self.failed.add(key)
         return False
 
@@ -222,7 +273,8 @@ def exact_factor(g: TripartiteGraph, count_mode: bool = False,
     if s.solution is not None:
         cover = TriangleCover(s.solution)
         verdict = verify_cover(g, cover, require_perfect=True)
-        assert verdict.ok, f"oracle produced an invalid cover: {verdict.reason}"
+        if not verdict.ok:
+            raise InternalError(f"oracle produced an invalid cover: {verdict.reason}")
         return ExactResult(COVER, cover=cover, stats=s.stats)
     return ExactResult(NO_FACTOR, stats=s.stats)
 

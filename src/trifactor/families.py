@@ -9,6 +9,7 @@ k x k families can be stated in full generality.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -248,7 +249,8 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     Each cross pair starts as an Erdos-Renyi bipartite graph with edge
     probability delta_frac, then is greedily repaired: the most deficient
     vertex (lowest degree, ties by class then index) gets an edge to its
-    lowest-degree non-neighbor.  Deterministic for a given seed.
+    lowest-degree non-neighbor (ties by index).  Deterministic for a given
+    seed.
     """
     if not 0 <= delta_frac <= 1:
         raise ValueError("delta_frac must be in [0,1]")
@@ -256,29 +258,31 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     target = ceil_frac(Fraction(str(delta_frac)) * n)
     g = TripartiteGraph.empty(n)
     rows = g._rows
+    full = (1 << n) - 1
     for a, b in ((0, 1), (0, 2), (1, 2)):
+        rows_ab, rows_ba = rows[(a, b)], rows[(b, a)]
         for i in range(n):
             for j in range(n):
                 if rng.random() < delta_frac:
-                    rows[(a, b)][i] |= 1 << j
-                    rows[(b, a)][j] |= 1 << i
-        full = (1 << n) - 1
-        while True:
-            worst, worst_key = None, None
-            for side, (ca, cb) in enumerate(((a, b), (b, a))):
-                for i in range(n):
-                    d = rows[(ca, cb)][i].bit_count()
-                    if d < target:
-                        key = (d, ca, i)
-                        if worst_key is None or key < worst_key:
-                            worst_key, worst = key, (ca, cb, i)
-            if worst is None:
-                break
-            ca, cb, i = worst
-            non = full & ~rows[(ca, cb)][i]
-            j = min(iter_bits(non), key=lambda j: (rows[(cb, ca)][j].bit_count(), j))
+                    rows_ab[i] |= 1 << j
+                    rows_ba[j] |= 1 << i
+        deg = {a: [r.bit_count() for r in rows_ab], b: [r.bit_count() for r in rows_ba]}
+        # one live (degree, class, index) entry per deficient vertex; an
+        # entry whose degree is out of date was superseded when it grew
+        heap = [(d, c, i) for c in (a, b) for i, d in enumerate(deg[c]) if d < target]
+        heapq.heapify(heap)
+        while heap:
+            d, ca, i = heapq.heappop(heap)
+            if d != deg[ca][i]:
+                continue
+            cb = b if ca == a else a
+            j = min(iter_bits(full & ~rows[(ca, cb)][i]), key=deg[cb].__getitem__)
             rows[(ca, cb)][i] |= 1 << j
             rows[(cb, ca)][j] |= 1 << i
+            for c, v in ((ca, i), (cb, j)):
+                deg[c][v] += 1
+                if deg[c][v] < target:
+                    heapq.heappush(heap, (deg[c][v], c, v))
     return g
 
 

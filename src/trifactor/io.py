@@ -80,9 +80,12 @@ def parse_cover(text: str) -> TriangleCover:
         raise ParseError(1, "cover must be a JSON array")
     tris = []
     for k, item in enumerate(data):
+        # bool is a subclass of int, but true/false are not indices
         if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(x, int) for x in item)):
+                or not all(type(x) is int for x in item)):
             raise ParseError(1, f"entry {k} is not an index triple")
+        if min(item) < 0:
+            raise ParseError(1, f"entry {k} has a negative index")
         tris.append(Triangle(*item))
     try:
         return TriangleCover(tris)

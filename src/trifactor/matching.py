@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 from .config import as_fraction
 from .errors import (
     HasPerfectMatchingError,
+    InternalError,
     MatchingIsPerfectError,
     PreconditionDegreeError,
 )
@@ -158,7 +159,8 @@ def hall_violator(bv: BipartiteView, m: MatchingResult) -> tuple:
         frontier = nxt
     x_sorted = tuple(sorted(x))
     nx = neighborhood(bv, x_sorted)
-    assert len(nx) < len(x_sorted), "maximum matching produced no deficiency"
+    if len(nx) >= len(x_sorted):
+        raise InternalError("maximum matching produced no deficiency")
     return x_sorted
 
 

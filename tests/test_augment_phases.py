@@ -6,6 +6,8 @@ exercised here on hand-built covers where exactly one move applies.  Every
 expected state change is asserted against the real graph.
 """
 
+import pytest
+
 from trifactor.config import Config
 from trifactor.cover import (
     AugmentState,
@@ -15,6 +17,8 @@ from trifactor.cover import (
     _Work,
     MAX_REPLACED,
 )
+from trifactor.errors import InternalError
+from trifactor.families import complete_tripartite
 from trifactor.graph import Triangle, TriangleCover, build_graph, verify_cover
 
 
@@ -162,3 +166,20 @@ def test_pinned_phase_hunt_with_companions():
     assert out.replaced <= MAX_REPLACED
     assert Triangle(0, 1, 2) in out.cover.triangles
     assert verify_cover(g, out.cover).ok
+
+
+# -- soundness gates of _Work.replace: explicit raises, so they also run
+# under python -O, and InternalError rather than AssertionError
+
+
+def test_replace_gate_rejects_non_triangle():
+    g = build_graph(2, [((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 0), (2, 0))])
+    work = work_on(g, [Triangle(0, 0, 0)])
+    with pytest.raises(InternalError, match="non-triangle"):
+        work.replace([], [Triangle(1, 1, 1)])
+
+
+def test_replace_gate_rejects_overlap():
+    work = work_on(complete_tripartite(2), [Triangle(0, 0, 0)])
+    with pytest.raises(InternalError, match="disjointness"):
+        work.replace([], [Triangle(0, 1, 1)])

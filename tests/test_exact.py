@@ -1,8 +1,13 @@
 """Exact oracle: fixtures, brute-force equivalence, search properties."""
 
-import pytest
+import itertools
 
-from trifactor.errors import BudgetExceededError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trifactor.exact
+from trifactor.errors import BudgetExceededError, InternalError
 from trifactor.exact import BUDGET, COVER, NO_FACTOR, exact_factor, has_factor
 from trifactor.families import (
     complete_tripartite,
@@ -11,7 +16,7 @@ from trifactor.families import (
     theta32,
     theta33,
 )
-from trifactor.graph import TripartiteGraph, build_graph, verify_cover
+from trifactor.graph import CoverVerdict, TripartiteGraph, build_graph, iter_bits, verify_cover
 
 from conftest import brute_count_factors, brute_has_factor
 
@@ -105,3 +110,211 @@ def test_stats_populated():
     assert res.stats.nodes_expanded > 0
     assert res.stats.max_depth <= gamma3(2).n
     assert res.stats.elapsed >= 0
+
+
+def test_invalid_cover_gate_raises_internal_error(monkeypatch):
+    # the oracle's verify_cover gate is an explicit raise, so it also runs
+    # under python -O
+    monkeypatch.setattr(trifactor.exact, "verify_cover",
+                        lambda *args, **kw: CoverVerdict(False, "rejected"))
+    with pytest.raises(InternalError):
+        exact_factor(gamma3(2))
+
+
+def test_memo_key_is_injective_on_twin_group_counts():
+    # theta33(2) has three twin groups of two per class; summing one unit
+    # per covered vertex must give a different key for every assignment of
+    # covered counts 0..2 to the nine groups
+    s = trifactor.exact._Searcher(theta33(2), 1, False, True)
+    units = [[s.units[c][s.groups[c].index(gid)] for gid in range(3)] for c in range(3)]
+    flat = [u for per_class in units for u in per_class]
+    keys = {sum(k * u for k, u in zip(counts, flat))
+            for counts in itertools.product(range(3), repeat=9)}
+    assert len(keys) == 3 ** 9
+
+
+# -- equivalence with the rescanning search ------------------------------------
+
+
+class _ReferenceBudget(Exception):
+    pass
+
+
+class ReferenceSearcher:
+    """The oracle before completion counts were kept incrementally: every
+    node rescans the completions of every free class-0 vertex and, for the
+    other two classes, looks for a free vertex with none.  The incremental
+    search must visit the same nodes in the same order, except that it also
+    fails a node whose class-0 dead end comes after a vertex with one
+    completion, which this fail-first loop stops short of."""
+
+    def __init__(self, g, budget, count_mode, twin_pruning):
+        self.n = g.n
+        self.full = (1 << g.n) - 1
+        self.budget = budget
+        self.count_mode = count_mode
+        self.twin_pruning = twin_pruning and not count_mode
+        self.nodes_expanded = 0
+        r = g._rows
+        self.r01, self.r02, self.r12 = r[(0, 1)], r[(0, 2)], r[(1, 2)]
+        self.r10, self.r20, self.r21 = r[(1, 0)], r[(2, 0)], r[(2, 1)]
+        self.count = 0
+        self.solution = None
+        if self.twin_pruning:
+            self.groups = self._twin_groups()
+            self.failed = set()
+
+    def _twin_groups(self):
+        keysets = (
+            [(self.r01[i], self.r02[i]) for i in range(self.n)],
+            [(self.r10[i], self.r12[i]) for i in range(self.n)],
+            [(self.r20[i], self.r21[i]) for i in range(self.n)],
+        )
+        out = []
+        for keys in keysets:
+            ids = {}
+            out.append([ids.setdefault(k, len(ids)) for k in keys])
+        return out
+
+    def _state_key(self, cov0, cov1, cov2):
+        counts = []
+        for c, cov in ((0, cov0), (1, cov1), (2, cov2)):
+            gids = self.groups[c]
+            cnt = [0] * (max(gids) + 1)
+            for i in iter_bits(cov):
+                cnt[gids[i]] += 1
+            counts.append(tuple(cnt))
+        return tuple(counts)
+
+    def _completions(self, v0, cov1, cov2):
+        total = 0
+        base2 = self.r02[v0] & ~cov2 & self.full
+        if not base2:
+            return 0
+        for v1 in iter_bits(self.r01[v0] & ~cov1 & self.full):
+            total += (base2 & self.r12[v1]).bit_count()
+        return total
+
+    def _stuck_elsewhere(self, cov0, cov1, cov2):
+        free0 = ~cov0 & self.full
+        free1 = ~cov1 & self.full
+        free2 = ~cov2 & self.full
+        for v1 in iter_bits(free1):
+            row12 = self.r12[v1]
+            for v0 in iter_bits(self.r10[v1] & free0):
+                if self.r02[v0] & row12 & free2:
+                    break
+            else:
+                return True
+        for v2 in iter_bits(free2):
+            row21 = self.r21[v2]
+            for v0 in iter_bits(self.r20[v2] & free0):
+                if self.r01[v0] & row21 & free1:
+                    break
+            else:
+                return True
+        return False
+
+    def run(self):
+        """Status as exact_factor reports it."""
+        try:
+            found = self._dfs(0, 0, 0, [])
+        except _ReferenceBudget:
+            return BUDGET
+        if self.count_mode:
+            return COVER if self.count else NO_FACTOR
+        return COVER if found else NO_FACTOR
+
+    def _dfs(self, cov0, cov1, cov2, acc):
+        if cov0 == self.full:
+            if self.count_mode:
+                self.count += 1
+                return False
+            self.solution = list(acc)
+            return True
+        self.nodes_expanded += 1
+        if self.nodes_expanded > self.budget:
+            raise _ReferenceBudget
+        if self.twin_pruning:
+            key = self._state_key(cov0, cov1, cov2)
+            if key in self.failed:
+                return False
+        best_v0, best_cnt = -1, None
+        for v0 in iter_bits(~cov0 & self.full):
+            cnt = self._completions(v0, cov1, cov2)
+            if cnt == 0:
+                if self.twin_pruning:
+                    self.failed.add(key)
+                return False
+            if best_cnt is None or cnt < best_cnt:
+                best_v0, best_cnt = v0, cnt
+                if cnt == 1:
+                    break
+        if self._stuck_elsewhere(cov0, cov1, cov2):
+            if self.twin_pruning:
+                self.failed.add(key)
+            return False
+        v0 = best_v0
+        seen_pairs = set() if self.twin_pruning else None
+        base2 = self.r02[v0] & ~cov2 & self.full
+        for v1 in iter_bits(self.r01[v0] & ~cov1 & self.full):
+            opts2 = base2 & self.r12[v1]
+            for v2 in iter_bits(opts2):
+                if seen_pairs is not None:
+                    pk = (self.groups[1][v1], self.groups[2][v2])
+                    if pk in seen_pairs:
+                        continue
+                    seen_pairs.add(pk)
+                acc.append((v0, v1, v2))
+                if self._dfs(cov0 | 1 << v0, cov1 | 1 << v1, cov2 | 1 << v2, acc):
+                    return True
+                acc.pop()
+        if self.twin_pruning:
+            self.failed.add(key)
+        return False
+
+
+EQUIVALENCE_BUDGET = 20_000
+COUNT_BUDGET = 2_000
+
+oracle_instances = st.one_of(
+    st.builds(gen_random_min_degree, st.integers(2, 21),
+              st.floats(0.5, 0.9), st.integers(0, 10**6)),
+    st.builds(gamma3, st.integers(1, 4)),
+    st.builds(theta33, st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_instances, st.booleans())
+def test_incremental_search_matches_rescanning_reference(g, twins):
+    ref = ReferenceSearcher(g, EQUIVALENCE_BUDGET, False, twins)
+    ref_status = ref.run()
+    res = exact_factor(g, budget=EQUIVALENCE_BUDGET, twin_pruning=twins)
+    assert res.stats.nodes_expanded <= ref.nodes_expanded
+    if ref_status != BUDGET:
+        assert res.status == ref_status
+        if ref_status == COVER:
+            assert [tuple(t) for t in res.cover.triangles] == ref.solution
+
+    ref = ReferenceSearcher(g, COUNT_BUDGET, True, False)
+    if ref.run() != BUDGET:
+        res = exact_factor(g, count_mode=True, budget=COUNT_BUDGET)
+        assert res.count == ref.count
+        assert res.stats.nodes_expanded <= ref.nodes_expanded
+
+
+def test_class0_dead_end_after_single_completion_fails_at_root():
+    # class-0 vertex 0 has one completion, vertex 1 none (it is isolated),
+    # vertex 2 two; every class-1/2 vertex has a completion.  The
+    # rescanning loop stops at vertex 0's single completion and branches;
+    # the incremental search sees vertex 1's zero and fails the root.
+    edges = []
+    for i0, i1, i2 in ((0, 0, 0), (2, 1, 1), (2, 2, 2)):
+        edges += [((0, i0), (1, i1)), ((0, i0), (2, i2)), ((1, i1), (2, i2))]
+    g = build_graph(3, edges)
+    ref = ReferenceSearcher(g, EQUIVALENCE_BUDGET, False, True)
+    assert ref.run() == NO_FACTOR and ref.nodes_expanded == 2
+    res = exact_factor(g)
+    assert res.status == NO_FACTOR
+    assert res.stats.nodes_expanded == 1

@@ -1,5 +1,8 @@
 """Generators: grid families, blow-ups, perturbations, random instances."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from trifactor.errors import NotANonEdgeError
@@ -17,7 +20,15 @@ from trifactor.families import (
     theta32,
     theta33,
 )
-from trifactor.graph import Triangle, TriangleCover, cross_degree, verify_cover
+from trifactor.config import ceil_frac
+from trifactor.graph import (
+    Triangle,
+    TriangleCover,
+    TripartiteGraph,
+    cross_degree,
+    iter_bits,
+    verify_cover,
+)
 
 from conftest import brute_triangles
 
@@ -144,6 +155,47 @@ def test_gen_random_full_fraction_is_complete():
 def test_gen_random_degree_floor(seed):
     g = gen_random_min_degree(9, 2 / 3, seed=seed)
     assert g.min_cross_degree() >= 6
+
+
+def reference_random_min_degree(n, delta_frac, seed):
+    """The repair loop that rescans every row per added edge: the heap
+    version must build exactly the same rows."""
+    rng = random.Random(f"random-min-degree:{seed}")
+    target = ceil_frac(Fraction(str(delta_frac)) * n)
+    g = TripartiteGraph.empty(n)
+    rows = g._rows
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < delta_frac:
+                    rows[(a, b)][i] |= 1 << j
+                    rows[(b, a)][j] |= 1 << i
+        full = (1 << n) - 1
+        while True:
+            worst, worst_key = None, None
+            for side, (ca, cb) in enumerate(((a, b), (b, a))):
+                for i in range(n):
+                    d = rows[(ca, cb)][i].bit_count()
+                    if d < target:
+                        key = (d, ca, i)
+                        if worst_key is None or key < worst_key:
+                            worst_key, worst = key, (ca, cb, i)
+            if worst is None:
+                break
+            ca, cb, i = worst
+            non = full & ~rows[(ca, cb)][i]
+            j = min(iter_bits(non), key=lambda j: (rows[(cb, ca)][j].bit_count(), j))
+            rows[(ca, cb)][i] |= 1 << j
+            rows[(cb, ca)][j] |= 1 << i
+    return g
+
+
+@pytest.mark.parametrize("f", [0, 0.3, 2 / 3, 0.7, 0.75, 0.9, 1])
+def test_gen_random_matches_rescanning_reference(f):
+    for n in range(1, 61):
+        seed = n % 4
+        got = gen_random_min_degree(n, f, seed)._rows
+        assert got == reference_random_min_degree(n, f, seed)._rows, (n, seed)
 
 
 def test_gen_random_easy_cover_at_three_quarters():

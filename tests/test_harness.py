@@ -68,6 +68,17 @@ def test_cover_roundtrip():
         parse_cover("{}")
 
 
+@pytest.mark.parametrize("text", ["[[true, 0, 0]]", "[[0, false, 1]]", "[[1, 0, true]]"])
+def test_parse_cover_rejects_booleans(text):
+    with pytest.raises(ParseError, match="not an index triple"):
+        parse_cover(text)
+
+
+def test_parse_cover_rejects_negative_index():
+    with pytest.raises(ParseError, match="entry 1 has a negative index"):
+        parse_cover("[[0, 0, 0], [1, -1, 1]]")
+
+
 # -- sweep -----------------------------------------------------------------------
 
 

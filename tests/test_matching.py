@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from trifactor.errors import (
     HasPerfectMatchingError,
+    InternalError,
     MatchingIsPerfectError,
     PreconditionDegreeError,
 )
 from trifactor.matching import (
     BipartiteView,
+    MatchingResult,
     detect_theta22,
     hall_violator,
     max_matching,
@@ -105,6 +107,14 @@ def test_hall_violator_two_left_one_right():
     x = hall_violator(bv, mr)
     assert set(x) == {0, 1}
     assert len(neighborhood(bv, x)) == 1
+
+
+def test_hall_violator_gate_rejects_non_maximum_matching():
+    # from the empty matching of K_{2,2} the alternating search ends at a
+    # set with no deficiency; the gate raises InternalError, not an assert
+    bv = view_from_dict({0: [0, 1], 1: [0, 1]}, 2)
+    with pytest.raises(InternalError, match="no deficiency"):
+        hall_violator(bv, MatchingResult((), (0, 1)))
 
 
 def test_hall_violator_isolated_vertex():
