@@ -109,7 +109,7 @@ def _cmd_gen(args, cfg: Config) -> int:
         if args.eps > 0 or args.delta > 0:
             g = approx_blow_up(base, args.t, args.eps, args.delta, args.seed).graph
         else:
-            g = blow_up(base, args.t).to_tripartite()
+            g = blow_up(base.to_tripartite(), args.t)
     tio.save_graph(args.out, g)
     print(f"wrote {args.out}: N={g.n}")
     return EXIT_OK

@@ -55,10 +55,6 @@ class Config:
         return as_fraction(self.delta0)
 
     @property
-    def theta_frac(self) -> Fraction:
-        return as_fraction(self.theta)
-
-    @property
     def eps_prime_frac(self) -> Fraction:
         return as_fraction(self.eps_prime)
 

@@ -17,7 +17,10 @@ Four layers, from cheap to expensive:
   below the configured threshold (the extreme case).  The search
   escalates from cheap moves to expensive ones: direct extension, single
   exchanges, the relay through a third-class triangle, and finally the
-  six-pinned-edge phase with its intersection and triangle hunts.
+  six-pinned-edge phase with its intersection and triangle hunts.  Every
+  move that grows the cover ends in _finish_improved, which applies the
+  replacement cap and re-verifies the cover; triangle searches inside
+  vertex masks go through TripartiteGraph.iter_triangles/find_triangle.
 
 * solve - driver: easy path, greedy + augmentation loop, extreme-case
   classification and cover, with the exact oracle as the fallback for
@@ -223,15 +226,11 @@ class AugmentState:
     """Mutable bookkeeping for one exchange-augmentation step."""
 
     cover: TriangleCover
-    uncovered: tuple
-    a_sets: dict = field(default_factory=dict)
-    b_sets: dict = field(default_factory=dict)
-    c_sets: dict = field(default_factory=dict)
     pinned: dict = field(default_factory=dict)   # e1,e2,f1,f3,g2,g3 -> edge
 
     @classmethod
     def from_cover(cls, g: TripartiteGraph, cover: TriangleCover) -> "AugmentState":
-        return cls(cover, tuple(cover.uncovered_mask(g.n, c) for c in range(3)))
+        return cls(cover)
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,8 @@ def _with_slot(t: Triangle, c: int, v: int) -> Triangle:
     return Triangle(*parts)
 
 
-def _pin_edge(g: TripartiteGraph, work: _Work, state: AugmentState,
-              ca: int, cb: int, pinned_mask: list[int], cfg: Config):
+def _pin_edge(g: TripartiteGraph, work: _Work, ca: int, cb: int,
+              pinned_mask: list[int]):
     """Produce one edge between uncovered, unpinned vertices of (ca, cb).
 
     Returns ('edge', (u, v)) on success, ('extreme', masks) when the failed
@@ -336,18 +335,18 @@ def _pin_edge(g: TripartiteGraph, work: _Work, state: AugmentState,
     first_failure = None
     for xa in iter_bits(ua):
         for xb in iter_bits(ub):
-            res = _exchange_for_edge(g, work, ca, xa, cb, xb, cc, ub, ua)
+            # a failed attempt leaves the cover as it was, so these sets
+            # still describe it for the sparse triple candidate below
+            sets = _exchange_sets(g, work, ca, xa, cb, xb, cc)
+            res = _exchange_for_edge(g, work, ca, xa, cb, xb, cc, ub, ua, sets)
             if res is not None:
                 return "edge", res
             if first_failure is None:
-                a_tris, b_tris, c_tris = _exchange_sets(g, work, ca, xa, cb, xb, cc)
-                state.a_sets[(ca, cb)] = mask_of(t[ca] for t in a_tris)
-                state.b_sets[(ca, cb)] = mask_of(t[cb] for t in b_tris)
-                state.c_sets[(ca, cb)] = mask_of(t[cc] for t in c_tris)
+                a_tris, b_tris, c_tris = sets
                 cand = [0, 0, 0]
-                cand[ca] = state.a_sets[(ca, cb)]
-                cand[cb] = state.b_sets[(ca, cb)]
-                cand[cc] = state.c_sets[(ca, cb)]
+                cand[ca] = mask_of(t[ca] for t in a_tris)
+                cand[cb] = mask_of(t[cb] for t in b_tris)
+                cand[cc] = mask_of(t[cc] for t in c_tris)
                 first_failure = tuple(cand)
     if first_failure is not None:
         return "extreme", first_failure
@@ -355,10 +354,13 @@ def _pin_edge(g: TripartiteGraph, work: _Work, state: AugmentState,
 
 
 def _exchange_for_edge(g: TripartiteGraph, work: _Work, ca: int, xa: int,
-                       cb: int, xb: int, cc: int, ub: int, ua: int):
+                       cb: int, xb: int, cc: int, ub: int, ua: int, sets=None):
     """One (x_a, x_b) exchange attempt; mutates the cover on success and
-    returns the created uncovered edge."""
-    a_tris, b_tris, c_tris = _exchange_sets(g, work, ca, xa, cb, xb, cc)
+    returns the created uncovered edge.  sets are the pair's _exchange_sets,
+    computed here when not given."""
+    if sets is None:
+        sets = _exchange_sets(g, work, ca, xa, cb, xb, cc)
+    a_tris, b_tris, c_tris = sets
 
     # (a) a vertex freed from an A-triangle already sees uncovered cb-vertices
     for t in a_tris:
@@ -431,36 +433,26 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
     """One exchange-augmentation step: Improved, Extreme, or Stuck."""
     n = g.n
     cover = state.cover
+    # a cover leaves n - size vertices uncovered in every class, so this is
+    # the step's "at least 4 uncovered vertices per class" condition
     if cover.size >= n - 3:
-        raise PreconditionViolatedError("cover too large for the exchange step")
-    for c in range(3):
-        if cover.uncovered_mask(n, c).bit_count() < 4:
-            raise PreconditionViolatedError("need at least 4 uncovered vertices per class")
+        raise PreconditionViolatedError("need at least 4 uncovered vertices per class")
     floor_frac = Fraction(2, 3) - cfg.eps_prime_frac
     if g.min_cross_degree() < floor_frac * n:
         raise PreconditionViolatedError("min cross-degree below (2/3 - eps')N")
 
     work = _Work(g, cover)
 
-    def improved_or_stuck():
-        if work.replaced_count() > MAX_REPLACED:
-            return Stuck(f"improvement needs {work.replaced_count()} replacements")
-        new_cover = work.to_cover()
-        if new_cover.size <= cover.size:
-            raise InternalError("augmentation step did not grow the cover")
-        _check_cover(g, new_cover, "augmentation step")
-        return Improved(new_cover, work.replaced_count())
-
     # phase 1: direct extension
     t = g.find_triangle(work.unc(0), work.unc(1), work.unc(2))
     if t is not None:
         work.replace([], [t])
-        return improved_or_stuck()
+        return _finish_improved(g, work)
 
     # phases 2-3: create six disjoint pinned edges in the uncovered sets
     pinned_mask = [0, 0, 0]
     for label, ca, cb in PIN_ORDER:
-        kind, payload = _pin_edge(g, work, state, ca, cb, pinned_mask, cfg)
+        kind, payload = _pin_edge(g, work, ca, cb, pinned_mask)
         if kind == "extreme":
             witness = finish_extreme_witness(g, payload, cfg)
             if witness is not None:
@@ -476,7 +468,7 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
         t = g.find_triangle(work.unc(0), work.unc(1), work.unc(2))
         if t is not None:
             work.replace([], [t])
-            return improved_or_stuck()
+            return _finish_improved(g, work)
 
     return _pinned_phase(g, work, state, cfg)
 
@@ -507,12 +499,6 @@ def _pinned_phase(g: TripartiteGraph, work: _Work, state: AugmentState, cfg: Con
         if sees(2, t.i2, e2):
             sets["C1"][t.i1] = t
 
-    def tri_from_edge(edge, c: int, v: int) -> Triangle:
-        parts = [None, None, None]
-        (cx, ix), (cy, iy) = edge
-        parts[cx], parts[cy], parts[c] = ix, iy, v
-        return Triangle(*parts)
-
     # pairwise intersections give an immediate +1
     for k1, k2, comp1, comp2 in (("B0", "C0", (1, f1), (2, e1)),
                                  ("A1", "C1", (0, g2), (2, e2)),
@@ -521,11 +507,11 @@ def _pinned_phase(g: TripartiteGraph, work: _Work, state: AugmentState, cfg: Con
         for v in sorted(common):
             t = sets[k1][v]
             (s1, edge1), (s2, edge2) = comp1, comp2
-            add1 = tri_from_edge(edge1, s1, t[s1])
-            add2 = tri_from_edge(edge2, s2, t[s2])
+            add1 = _tri_from_edge(edge1, s1, t[s1])
+            add2 = _tri_from_edge(edge2, s2, t[s2])
             if g.triangle_exists(add1) and g.triangle_exists(add2):
                 work.replace([t], [add1, add2])
-                return _finish_improved(g, work, state)
+                return _finish_improved(g, work)
 
     companions = {
         0: (("B0", 1, f1), ("C0", 2, e1)),
@@ -536,11 +522,14 @@ def _pinned_phase(g: TripartiteGraph, work: _Work, state: AugmentState, cfg: Con
     m1 = mask_of(set(sets["A1"]) | set(sets["C1"]))
     m2 = mask_of(set(sets["A2"]) | set(sets["B2"]))
 
-    plan = _hunt_plan(g, work, sets, companions, m0, m1, m2)
-    if plan is not None:
-        removed, added = plan
-        work.replace(removed, added)
-        return _finish_improved(g, work, state)
+    # the hunt: a triangle in the triple together with companions that pay
+    # for the cover triangles it breaks
+    for hunt in g.iter_triangles(m0, m1, m2):
+        plan = _companion_plan(g, work, sets, companions, hunt)
+        if plan is not None:
+            removed, added = plan
+            work.replace(removed, added)
+            return _finish_improved(g, work)
 
     # no triangle in the triple: classify it as an approximate theta 3x2
     # structure and hand back the sparse same-column triple
@@ -550,39 +539,33 @@ def _pinned_phase(g: TripartiteGraph, work: _Work, state: AugmentState, cfg: Con
     return Stuck("pinned phase failed and no sparse triple certified")
 
 
-def _finish_improved(g, work, state):
-    if work.replaced_count() > MAX_REPLACED:
-        return Stuck(f"improvement needs {work.replaced_count()} replacements")
+def _finish_improved(g: TripartiteGraph, work: _Work):
+    """End of a step whose exchanges grew the cover: Stuck when they replaced
+    more than MAX_REPLACED triangles, else the verified Improved cover."""
+    replaced = work.replaced_count()
+    if replaced > MAX_REPLACED:
+        return Stuck(f"improvement needs {replaced} replacements")
     new_cover = work.to_cover()
-    _check_cover(g, new_cover, "pinned phase")
-    return Improved(new_cover, work.replaced_count())
+    if new_cover.size <= len(work.baseline):
+        raise InternalError("augmentation step did not grow the cover")
+    _check_cover(g, new_cover, "augmentation step")
+    return Improved(new_cover, replaced)
 
 
-def _hunt_plan(g: TripartiteGraph, work: _Work, sets, companions, m0, m1, m2):
-    """Search a triangle in the (B0+C0, A1+C1, A2+B2) triple together with a
-    vertex-disjoint companion assignment; returns (removed, added) or None."""
-    r01, r02, r12 = g._rows[(0, 1)], g._rows[(0, 2)], g._rows[(1, 2)]
-    for z0 in iter_bits(m0):
-        cand1 = r01[z0] & m1
-        if not cand1:
-            continue
-        base2 = r02[z0] & m2
-        if not base2:
-            continue
-        for z1 in iter_bits(cand1):
-            for z2 in iter_bits(base2 & r12[z1]):
-                plan = _companion_plan(g, work, sets, companions, (z0, z1, z2))
-                if plan is not None:
-                    return plan
-    return None
+def _tri_from_edge(edge, c: int, v: int) -> Triangle:
+    """The triangle on a pinned edge and vertex v of the third class c."""
+    parts = [None, None, None]
+    (cx, ix), (cy, iy) = edge
+    parts[cx], parts[cy], parts[c] = ix, iy, v
+    return Triangle(*parts)
 
 
-def _companion_plan(g, work, sets, companions, zs):
-    """Companion triangles for one hunt candidate; each removed triangle
-    must be paid for by one companion, and everything must stay disjoint."""
-    hunt = Triangle(*zs)
+def _companion_plan(g, work, sets, companions, hunt: Triangle):
+    """Companion triangles for one hunt triangle in the (B0+C0, A1+C1, A2+B2)
+    triple; each removed triangle must be paid for by one companion, and
+    everything must stay disjoint.  Returns (removed, added) or None."""
     removed = []
-    for c, z in enumerate(zs):
+    for c, z in enumerate(hunt):
         t = work.owner[c][z]
         if t not in removed:
             removed.append(t)
@@ -590,17 +573,14 @@ def _companion_plan(g, work, sets, companions, zs):
         return None  # the hunt triangle is an existing cover triangle
 
     options = []
-    for c, z in enumerate(zs):
+    for c, z in enumerate(hunt):
         opts = []
         for key, slot, edge in companions[c]:
             t = sets[key].get(z)
             if t is not None and t is work.owner[c][z]:
                 v = t[slot]
-                if v not in (hunt[slot],):
-                    (cx, ix), (cy, iy) = edge
-                    parts = [None, None, None]
-                    parts[cx], parts[cy], parts[slot] = ix, iy, v
-                    cand = Triangle(*parts)
+                if v != hunt[slot]:
+                    cand = _tri_from_edge(edge, slot, v)
                     if g.triangle_exists(cand):
                         opts.append(cand)
         options.append(opts)
@@ -752,7 +732,7 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
 
     if n % 3:
         if dmin >= ceil_frac(Fraction(2 * n, 3)):
-            out = _solve_via_reduction(g, cfg, mode)
+            out = _solve_via_reduction(g, cfg, mode, budget)
             if out is not None:
                 return out
         return _fallback(g, cfg, mode, steps, reason="n-not-divisible-by-3",
@@ -762,11 +742,7 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
     witness = None
     floor_frac = Fraction(2, 3) - cfg.eps_prime_frac
     if dmin >= floor_frac * n:
-        while cover.size < n:
-            if cover.size >= n - 3:
-                break
-            if min(cover.uncovered_mask(n, c).bit_count() for c in range(3)) < 4:
-                break
+        while cover.size <= n - 4:
             state = AugmentState.from_cover(g, cover)
             out = augment_once(g, state, cfg)
             if isinstance(out, Improved):
@@ -775,7 +751,7 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
                 continue
             if isinstance(out, Extreme):
                 witness = out.witness
-                resolved = _extreme_path(g, witness, cfg, steps)
+                resolved = _extreme_path(g, witness, cfg, steps, mode, budget)
                 if resolved is not None:
                     return resolved
             break
@@ -807,7 +783,8 @@ def _fallback(g, cfg, mode, steps, witness=None, reason="stuck", budget=None):
     return SolveOutcome("indeterminate", reason=reason, steps=steps)
 
 
-def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps):
+def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps, mode: str,
+                  budget: Optional[int]):
     """Classify the witness, discriminate gamma vs theta, and run the
     extreme-case cover.  Returns a SolveOutcome or None to fall back."""
     from . import extremal
@@ -828,8 +805,9 @@ def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps):
         return SolveOutcome("cover", cover=result.cover, witness=witness,
                             structure=sw, source="extreme-cover", steps=steps)
     # exact gamma3 with odd scale: the one genuinely uncoverable family
-    if g.n <= cfg.exact_limit:
-        return _exact_outcome(g, cfg, steps, witness=witness, structure=sw)
+    if mode != "constructive" and g.n <= cfg.exact_limit:
+        return _exact_outcome(g, cfg, steps, witness=witness, structure=sw,
+                              budget=budget)
     return SolveOutcome("indeterminate", reason="gamma3-witness",
                         witness=witness, structure=sw, steps=steps)
 
@@ -967,12 +945,12 @@ def _best_triangle(g: TripartiteGraph, keep) -> Optional[Triangle]:
     return best
 
 
-def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str
-                         ) -> Optional[SolveOutcome]:
+def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str,
+                         budget: Optional[int]) -> Optional[SolveOutcome]:
     from . import extremal
 
     red = reduce_mod3(g, cfg)
-    sub_out = solve(red.graph, cfg, mode)
+    sub_out = solve(red.graph, cfg, mode, budget)
     if sub_out.kind == "cover":
         lifted = [Triangle(*(red.maps[c][t[c]] for c in range(3)))
                   for t in sub_out.cover.triangles]

@@ -26,6 +26,7 @@ from typing import Optional
 from .config import Config, as_fraction, ceil_frac, floor_frac
 from .cover import ExtremeWitness, match_triple_cover
 from .errors import (
+    InternalError,
     ModelMismatchError,
     NotTriangleFreeError,
     OddSizeError,
@@ -70,13 +71,6 @@ class StructureWitness:
     assignment: dict            # (class, index) -> (row, col); row == class
     eps: float                  # realized size slack
     max_nonedge_density: Fraction
-
-    def cluster_mask(self, class_id: int, col: int) -> int:
-        m = 0
-        for (c, i), (_, j) in self.assignment.items():
-            if c == class_id and j == col:
-                m |= 1 << i
-        return m
 
     def cluster_masks(self) -> list[list[int]]:
         cols = MODEL_COLS[self.model]
@@ -781,7 +775,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
         for j in range(3):
             if masks[c][j] >> i & 1:
                 return j
-        raise AssertionError
+        raise InternalError(f"vertex ({c},{i}) lies in no cluster")
 
     # phase A: pull atypical vertices out and green-label them
     atypical = []
@@ -821,7 +815,10 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
     _rebalance_cols(g, sw.model, masks, colored, t)
     for c in range(3):
         for j in range(3):
-            assert masks[c][j].bit_count() == t
+            if masks[c][j].bit_count() != t:
+                raise InternalError(
+                    f"rebalancing left cluster ({c},{j}) at size "
+                    f"{masks[c][j].bit_count()}, not {t}")
 
     # parity
     parity: list[Triangle] = []
@@ -1028,22 +1025,13 @@ def _cover_label(g: TripartiteGraph, model, lab, piece, colored) -> list[Triangl
     for c, i, info in items:
         if (c, i) in done:
             continue
-        o1, o2 = [o for o in range(3) if o != c]
-        found = None
-        for p in sorted(avail[o1]):
-            if (o1, p) in colored or not g.nbr_mask(c, i, o1) >> p & 1:
-                continue
-            for q in sorted(avail[o2]):
-                if (o2, q) in colored or not g.nbr_mask(c, i, o2) >> q & 1:
-                    continue
-                if g.nbr_mask(o1, p, o2) >> q & 1:
-                    found = (p, q)
-                    break
-            if found:
-                break
-        if not found:
+        free = [1 << i if o == c else
+                mask_of(v for v in avail[o] if (o, v) not in colored)
+                for o in range(3)]
+        found = g.find_triangle(*free)
+        if found is None:
             raise WitnessInvalidError("no completion for a green vertex")
-        take({c: i, o1: found[0], o2: found[1]})
+        take(dict(enumerate(found)))
         done.add((c, i))
 
     sizes = {len(avail[c]) for c in range(3)}

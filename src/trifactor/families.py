@@ -93,15 +93,26 @@ def gen_gamma(k: int) -> MultiClassGraph:
 
 def blow_up(g, t: int):
     """Replace each vertex by t clones and each edge by a complete t x t
-    bipartite graph.  Accepts either graph kind and returns the same kind."""
+    bipartite graph.  Accepts either graph kind and returns the same kind.
+
+    Base vertex j becomes clones j*t .. j*t+t-1, so a TripartiteGraph is
+    blown up row by row: a clone's row is the OR of one t-bit block per
+    neighbour of its base vertex.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     if isinstance(g, TripartiteGraph):
-        base = MultiClassGraph([g.n] * 3, set())
-        for u, v in g.edges():
-            base.add_edge(tuple(u), tuple(v))
-        blown, _ = _blow_up_multi(base, [[t] * g.n] * 3)
-        return blown.to_tripartite()
+        block = (1 << t) - 1
+        rows = {}
+        for key, base_rows in g._rows.items():
+            blown_rows = []
+            for row in base_rows:
+                acc = 0
+                for k in iter_bits(row):
+                    acc |= block << (k * t)
+                blown_rows.extend([acc] * t)
+            rows[key] = blown_rows
+        return TripartiteGraph(g.n * t, rows)
     blown, _ = _blow_up_multi(g, [[t] * s for s in g.sizes])
     return blown
 
@@ -218,15 +229,15 @@ def approx_blow_up(g: MultiClassGraph, t: int, eps: float, delta_density: float,
 
 
 def theta32(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_theta(3, 2), t).to_tripartite()
+    return blow_up(gen_theta(3, 2).to_tripartite(), t)
 
 
 def theta33(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_theta(3, 3), t).to_tripartite()
+    return blow_up(gen_theta(3, 3).to_tripartite(), t)
 
 
 def gamma3(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_gamma(3), t).to_tripartite()
+    return blow_up(gen_gamma(3).to_tripartite(), t)
 
 
 def complete_tripartite(n: int) -> TripartiteGraph:
@@ -235,12 +246,6 @@ def complete_tripartite(n: int) -> TripartiteGraph:
     for key in g._rows:
         g._rows[key] = [full] * n
     return g
-
-
-def grid_cluster_mask(t: int, col: int) -> int:
-    """Index mask of column `col` inside any class of a t-blow-up of a
-    3-column family (clusters are laid out contiguously by column)."""
-    return ((1 << t) - 1) << (col * t)
 
 
 def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGraph:

@@ -6,9 +6,10 @@ other class), which makes the neighborhood intersections used by the exact
 oracle and the cover solvers cheap (one AND per class pair).
 
 Vertices are addressed as (class_id, index) pairs; a triangle is a triple
-of indices, one per class in class order.  Graphs are immutable after
-construction and can be shared freely across threads; covers are plain
-values.
+of indices, one per class in class order.  iter_triangles(m0, m1, m2) is
+the one search for triangles inside three index masks; find_triangle is
+its first hit.  Graphs are immutable after construction and can be
+shared freely across threads; covers are plain values.
 """
 
 from __future__ import annotations
@@ -162,18 +163,19 @@ class TripartiteGraph:
                 and self.has_edge((0, t.i0), (2, t.i2))
                 and self.has_edge((1, t.i1), (2, t.i2)))
 
-    def make_triangle(self, i0: int, i1: int, i2: int) -> Triangle:
-        t = Triangle(i0, i1, i2)
-        if not self.triangle_exists(t):
-            raise ValueError(f"{t} is not a triangle of the graph")
-        return t
-
     def find_triangle(self, m0: Optional[int] = None, m1: Optional[int] = None,
                       m2: Optional[int] = None) -> Optional[Triangle]:
-        """First triangle (by index order) with vertices in the given masks."""
-        m0 = self._full if m0 is None else m0
-        m1 = self._full if m1 is None else m1
-        m2 = self._full if m2 is None else m2
+        """First triangle of iter_triangles(m0, m1, m2), or None."""
+        return next(self.iter_triangles(m0, m1, m2), None)
+
+    def iter_triangles(self, m0: Optional[int] = None, m1: Optional[int] = None,
+                       m2: Optional[int] = None) -> Iterator[Triangle]:
+        """Triangles with vertices in the given index masks (None: the whole
+        class), in (i0, i1, i2) order.  The one triangle-in-masks search."""
+        full = self._full
+        m0 = full if m0 is None else m0
+        m1 = full if m1 is None else m1
+        m2 = full if m2 is None else m2
         r01, r02, r12 = self._rows[(0, 1)], self._rows[(0, 2)], self._rows[(1, 2)]
         for v0 in iter_bits(m0):
             cand1 = r01[v0] & m1
@@ -183,20 +185,8 @@ class TripartiteGraph:
             if not base2:
                 continue
             for v1 in iter_bits(cand1):
-                both = base2 & r12[v1]
-                if both:
-                    return Triangle(v0, v1, (both & -both).bit_length() - 1)
-        return None
-
-    def iter_triangles(self) -> Iterator[Triangle]:
-        r01, r02, r12 = self._rows[(0, 1)], self._rows[(0, 2)], self._rows[(1, 2)]
-        for v0 in range(self.n):
-            for v1 in iter_bits(r01[v0]):
-                for v2 in iter_bits(r02[v0] & r12[v1]):
+                for v2 in iter_bits(base2 & r12[v1]):
                     yield Triangle(v0, v1, v2)
-
-    def is_triangle_free(self) -> bool:
-        return self.find_triangle() is None
 
     # -- derived graphs -------------------------------------------------------
 
@@ -317,22 +307,8 @@ class TriangleCover:
     def size(self) -> int:
         return len(self.triangles)
 
-    def is_perfect(self, n: int) -> bool:
-        return self.size == n
-
     def uncovered_mask(self, n: int, class_id: int) -> int:
         return ((1 << n) - 1) ^ self.covered[class_id]
-
-    def with_triangles(self, extra: Iterable[Triangle]) -> "TriangleCover":
-        return TriangleCover(self.triangles + tuple(extra))
-
-    def replace(self, removed: Iterable[Triangle], added: Iterable[Triangle]) -> "TriangleCover":
-        removed = set(removed)
-        kept = [t for t in self.triangles if t not in removed]
-        return TriangleCover(kept + list(added))
-
-    def __contains__(self, t: Triangle) -> bool:
-        return t in set(self.triangles)
 
     def __repr__(self) -> str:
         return f"TriangleCover(size={self.size})"

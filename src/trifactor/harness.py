@@ -15,7 +15,7 @@ from typing import Optional
 from .config import Config
 from .cover import solve
 from .exact import BUDGET, COVER, NO_FACTOR, exact_factor
-from .families import MultiClassGraph, blow_up, gen_random_min_degree
+from .families import blow_up, gen_random_min_degree
 from .graph import TripartiteGraph, build_graph
 
 CSV_HEADER = "# trifactor sweep v1\nn,fraction,seed,outcome,cover_size,oracle_confirmed"
@@ -164,13 +164,6 @@ def _enumerate_bases(n: int, sample: int = 0, seed: int = 0):
         yield g
 
 
-def _as_multi(g: TripartiteGraph) -> MultiClassGraph:
-    m = MultiClassGraph([g.n] * 3, set())
-    for u, v in g.edges():
-        m.add_edge(tuple(u), tuple(v))
-    return m
-
-
 def check_conjecture(max_base_n: int, t_values: list, budget: Optional[int] = None,
                      sample_for_3: int = 200, seed: int = 0) -> ConjectureReport:
     """Scan small base graphs for a violation of: G(t) and G(t+1) coverable
@@ -191,13 +184,10 @@ def check_conjecture(max_base_n: int, t_values: list, budget: Optional[int] = No
                     return None
                 return res.status == COVER
 
-            base_multi = _as_multi(base)
             for t in t_values:
                 for scale in (1, t, t + 1):
                     if scale not in decisions:
-                        blown = blow_up(base_multi, scale).to_tripartite() \
-                            if scale > 1 else base
-                        decisions[scale] = decide(blown)
+                        decisions[scale] = decide(blow_up(base, scale))
                 row = ConjectureRow(gid, n, t, decisions[1], decisions[t],
                                     decisions[t + 1])
                 report.rows.append(row)
@@ -207,8 +197,8 @@ def check_conjecture(max_base_n: int, t_values: list, budget: Optional[int] = No
                     from .io import serialize_graph
                     texts = {
                         "base": serialize_graph(base),
-                        f"t{t}": serialize_graph(blow_up(base_multi, t).to_tripartite()),
-                        f"t{t + 1}": serialize_graph(blow_up(base_multi, t + 1).to_tripartite()),
+                        f"t{t}": serialize_graph(blow_up(base, t)),
+                        f"t{t + 1}": serialize_graph(blow_up(base, t + 1)),
                     }
                     report.counterexamples.append((base, row, texts))
     return report

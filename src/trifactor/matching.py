@@ -40,15 +40,6 @@ class BipartiteView:
         return self._neighbors(u)
 
     @classmethod
-    def from_edges(cls, left, right, edges) -> "BipartiteView":
-        adj = {u: [] for u in left}
-        rset = set(right)
-        for u, v in edges:
-            if u in adj and v in rset:
-                adj[u].append(v)
-        return cls(left, right, lambda u: adj[u])
-
-    @classmethod
     def from_graph_pair(cls, g, class_a: int, idx_a: Iterable[int],
                         class_b: int, idx_b: Iterable[int]) -> "BipartiteView":
         """View of one class pair of a TripartiteGraph restricted to subsets."""

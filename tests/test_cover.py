@@ -443,3 +443,45 @@ def test_solve_reports_extreme_above_oracle_range():
     assert out.witness is not None
     assert all(d < cfg.delta0_frac for d in out.witness.densities)
     assert [len(s) for s in out.witness.sets] == [6, 6, 6]
+
+
+def _spy_oracle(monkeypatch):
+    budgets = []
+    real = trifactor.cover.exact_factor
+
+    def spy(g, budget=None, **kw):
+        budgets.append((g.n, budget))
+        return real(g, budget=budget, **kw)
+
+    monkeypatch.setattr(trifactor.cover, "exact_factor", spy)
+    return budgets
+
+
+def test_solve_passes_budget_to_reduced_oracle(monkeypatch):
+    # N = 16: greedy and augmentation leave the reduced N = 15 graph to the
+    # oracle, which must get the caller's budget
+    budgets = _spy_oracle(monkeypatch)
+    out = solve(gen_random_min_degree(16, 2 / 3, 1), budget=10 ** 6)
+    assert out.source == "reduction"
+    assert budgets == [(15, 10 ** 6)]
+
+
+def test_solve_passes_budget_and_mode_on_extreme_path(monkeypatch):
+    # blocked_theta_pads(6, 3) reaches the extreme path; the extremal layer
+    # is stubbed to report the exact odd gamma case, whose confirmation is
+    # an oracle call
+    import trifactor.extremal as extremal
+
+    monkeypatch.setattr(extremal, "classify_extreme_partition", lambda *a, **kw: None)
+    monkeypatch.setattr(extremal, "discriminate_gamma_vs_theta", lambda *a, **kw: "sw")
+    monkeypatch.setattr(extremal, "extreme_cover",
+                        lambda *a, **kw: extremal.ExtremeCoverResult("exact-gamma-odd"))
+    budgets = _spy_oracle(monkeypatch)
+    g = blocked_theta_pads(6, 3)
+    out = solve(g, Config(eps_prime=0.08), budget=10 ** 6)
+    assert (out.kind, out.structure) == ("nofactor", "sw")
+    assert budgets == [(15, 10 ** 6)]
+    budgets.clear()
+    out = solve(g, Config(eps_prime=0.08), mode="constructive", budget=10 ** 6)
+    assert (out.kind, out.reason) == ("indeterminate", "gamma3-witness")
+    assert budgets == []

@@ -5,6 +5,7 @@ import pytest
 from trifactor.config import Config
 from trifactor.cover import ExtremeWitness
 from trifactor.errors import (
+    InternalError,
     ModelMismatchError,
     NotTriangleFreeError,
     OddSizeError,
@@ -347,6 +348,19 @@ def test_extreme_cover_noisy_theta33(seed):
     out = extreme_cover(g, sw, Config().with_seed(seed))
     assert out.kind == "cover"
     assert verify_cover(g, out.cover, require_perfect=True).ok
+
+
+def test_extreme_cover_cluster_size_gate_raises_internal_error(monkeypatch):
+    # cluster sizes 3..5 around t = 4 with rebalancing switched off: the
+    # size check after it is a real check, so it also runs under python -O
+    import trifactor.extremal
+
+    res = approx_blow_up(gen_theta(3, 3), 4, 0.25, 0.0, seed=0)
+    assert res.cluster_sizes[0] == [5, 4, 3]
+    sw = witness_from_assignment(res.graph, "theta33", res.assignment)
+    monkeypatch.setattr(trifactor.extremal, "_rebalance_cols", lambda *args: None)
+    with pytest.raises(InternalError, match="rebalancing left cluster"):
+        extreme_cover(res.graph, sw, Config())
 
 
 def test_extreme_cover_rejects_bad_model():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trifactor.errors import NotANonEdgeError
 from trifactor.exact import COVER, exact_factor, has_factor
@@ -25,6 +27,7 @@ from trifactor.graph import (
     Triangle,
     TriangleCover,
     TripartiteGraph,
+    build_graph,
     cross_degree,
     iter_bits,
     verify_cover,
@@ -253,3 +256,27 @@ def test_greedy_on_gamma3_bounded_by_max():
     assert best == 2
     for seed in range(5):
         assert greedy_partial_cover(g, seed).size <= 2
+
+
+def reference_blow_up(g, t):
+    """The MultiClassGraph route: frozenset edges, blown up, rebuilt."""
+    from trifactor.families import MultiClassGraph
+
+    base = MultiClassGraph([g.n] * 3, set())
+    for u, v in g.edges():
+        base.add_edge(tuple(u), tuple(v))
+    return blow_up(base, t).to_tripartite()
+
+
+@st.composite
+def small_bases(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [((a, i), (b, j)) for a, b in ((0, 1), (0, 2), (1, 2))
+             for i in range(n) for j in range(n)]
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bases(), st.integers(1, 4))
+def test_blow_up_of_tripartite_matches_multiclass_route(g, t):
+    assert blow_up(g, t) == reference_blow_up(g, t)

@@ -235,3 +235,27 @@ def test_induce_matches_bitwise_reference(case):
 def test_induce_rejects_unequal_sizes():
     with pytest.raises(ValueError):
         complete_tripartite(3).induce([0b111, 0b11, 0b11])
+
+
+@st.composite
+def graph_and_masks(draw):
+    n = draw(st.integers(1, 9))
+    chosen = draw(st.lists(st.sampled_from(all_cross_pairs(n)), max_size=3 * n * n))
+    full = (1 << n) - 1
+    masks = draw(st.tuples(*[st.one_of(st.none(), st.integers(0, full))
+                             for _ in range(3)]))
+    return build_graph(n, chosen), masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_masks())
+def test_iter_triangles_matches_brute_force_order(case):
+    # None stands for the whole class; the order is (i0, i1, i2) ascending
+    g, masks = case
+    inside = [range(g.n) if m is None else list(iter_bits(m)) for m in masks]
+    expected = [Triangle(i0, i1, i2)
+                for i0 in inside[0] for i1 in inside[1] for i2 in inside[2]
+                if g.has_edge((0, i0), (1, i1)) and g.has_edge((0, i0), (2, i2))
+                and g.has_edge((1, i1), (2, i2))]
+    assert list(g.iter_triangles(*masks)) == expected
+    assert g.find_triangle(*masks) == (expected[0] if expected else None)

@@ -146,12 +146,11 @@ def test_conjecture_k111_consistent():
 def test_conjecture_gamma3_hypothesis_fails():
     # gamma3(2) coverable but gamma3(3) not: the base never satisfies the
     # hypothesis at t = 2, so it contributes no counterexample row
-    from trifactor.harness import _as_multi
     from trifactor.families import blow_up
 
     g = gamma3(1)
-    assert exact_factor(blow_up(_as_multi(g), 2).to_tripartite()).status != NO_FACTOR
-    assert exact_factor(blow_up(_as_multi(g), 3).to_tripartite()).status == NO_FACTOR
+    assert exact_factor(blow_up(g, 2)).status != NO_FACTOR
+    assert exact_factor(blow_up(g, 3)).status == NO_FACTOR
     report = check_conjecture(1, [2])
     for row in report.rows:
         assert not row.counterexample
