@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, solve, verify, sweep, conjecture, roundtrip.
-Exit codes: 0 success, 2 verification failure, 3 parse error.
+Exit codes: 0 success, 2 verification failure, 3 parse error, 4 any other
+library error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import io as tio
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_PARSE = 3
+EXIT_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +146,7 @@ def _cmd_solve(args, cfg: Config) -> int:
 
 def _cmd_verify(args, cfg: Config) -> int:
     g = tio.load_graph(args.input)
-    cover = tio.load_cover(args.cover)
+    cover = tio.load_cover(args.cover, g.n)
     verdict = verify_cover(g, cover, require_perfect=args.perfect)
     if verdict.ok:
         print(f"accepted: {cover.size} triangles")
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except TrifactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .errors import ParseError
+
 
 def as_fraction(x) -> Fraction:
     """Exact rational view of a config value (floats go through str so that
@@ -67,19 +69,25 @@ _FIELD_TYPES = {"delta0": float, "theta": float, "eps_prime": float,
 
 
 def load_config(path, base: Config | None = None) -> Config:
-    """Read a key=value file (one pair per line, # comments) into a Config."""
-    values = {}
+    """Read a key=value file (one pair per line, # comments) into a Config.
+
+    A malformed line, an unknown key, a value of the wrong type or out of
+    its range raises ParseError with the line number."""
+    cfg = base or Config()
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ParseError(lineno, "expected key=value")
             key, _, val = line.partition("=")
-            key = key.strip()
+            key, val = key.strip(), val.strip()
             if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _FIELD_TYPES[key](val.strip())
-    base = base or Config()
-    return replace(base, **values)
+                raise ParseError(lineno, f"unknown config key {key!r}")
+            kind = _FIELD_TYPES[key]
+            try:
+                cfg = replace(cfg, **{key: kind(val)})
+            except ValueError as exc:
+                raise ParseError(lineno, f"bad {key} {val!r}: {exc}") from None
+    return cfg

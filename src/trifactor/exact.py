@@ -30,12 +30,34 @@ instances (the gamma/theta blow-up families) tractable:
   three groups.
 
 Both are disabled in counting mode, where every leaf must be visited.
+
+With twin pruning on and counting off, a quotient step runs before the
+node search (the reduction is modular decomposition; McConnell & Spinrad,
+SODA 1994).  Between two twin groups the edges are all present or all
+absent, so a factor exists iff there are non-negative integers x_T, one per
+quotient triangle T (a triangle of group representatives), with
+sum_{T containing v} x_T = |v| for every group v.  The system is solved
+exactly by integer Gauss-Jordan elimination: no rational solution means
+NO_FACTOR; otherwise each value 0..bound of the free variable, if there is
+one, is tried in turn (one node each), and the first point where every
+pivot variable is a non-negative integer becomes a cover by handing out
+group members.  No such point means NO_FACTOR.  The step declines, and the
+node search decides, when
+
+1. no twin group has two members (an O(1) check on the group counts);
+2. there are more quotient triangles than groups - 1: every class's
+   equations sum to sum_T x_T = N, so the rank is at most groups - 2 and
+   at least two variables would stay free (enumeration stops there);
+3. elimination leaves more than one free variable.
+
+So the step tries at most N + 1 points, and odd gamma3(t) gets NO_FACTOR in
+t + 1 nodes where the node search needs thousands.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,24 +117,31 @@ class _Searcher:
         self.count = 0
         self.solution: Optional[list[Triangle]] = None
         if self.twin_pruning:
-            self.groups = self._twin_groups()
+            self.g = g
+            self.groups, self.sizes = self._twin_groups()
             self.units = self._key_units()
             self.failed: set = set()
         else:
             self.groups = None
 
-    def _twin_groups(self) -> list[list[int]]:
-        """groups[c][i] = twin id of vertex i of class c (identical rows)."""
+    def _twin_groups(self) -> tuple[list[list[int]], list[list[int]]]:
+        """groups[c][i] = twin id of vertex i of class c (identical rows);
+        sizes[c][gid] = number of vertices in twin group gid of class c."""
         keysets = (
             [(self.r01[i], self.r02[i]) for i in range(self.n)],
             [(self.r10[i], self.r12[i]) for i in range(self.n)],
             [(self.r20[i], self.r21[i]) for i in range(self.n)],
         )
-        out = []
+        groups, sizes = [], []
         for keys in keysets:
             ids: dict = {}
-            out.append([ids.setdefault(k, len(ids)) for k in keys])
-        return out
+            gids = [ids.setdefault(k, len(ids)) for k in keys]
+            count = [0] * len(ids)
+            for gid in gids:
+                count[gid] += 1
+            groups.append(gids)
+            sizes.append(count)
+        return groups, sizes
 
     def _key_units(self) -> list[list[int]]:
         """units[c][i] = lowest bit of the memo-key field of i's twin group.
@@ -120,13 +149,90 @@ class _Searcher:
         A group of size s gets s.bit_length() bits, enough for any covered
         count 0..s, so the key determines every group's covered count."""
         units, offset = [], 0
-        for gids in self.groups:
+        for gids, sizes in zip(self.groups, self.sizes):
             start = []
-            for size in Counter(gids).values():      # in group-id order
+            for size in sizes:
                 start.append(offset)
                 offset += size.bit_length()
             units.append([1 << start[gid] for gid in gids])
         return units
+
+    def _quotient(self) -> bool:
+        """The quotient step (see the module docstring); False when it
+        declines.  Sets self.solution when a factor exists."""
+        sizes = self.sizes
+        counts = [len(per_class) for per_class in sizes]
+        n_eqs = sum(counts)
+        if n_eqs == 3 * self.n:
+            return False
+        members = [[[] for _ in per_class] for per_class in sizes]
+        for c in range(3):
+            for i, gid in enumerate(self.groups[c]):
+                members[c][gid].append(i)
+        masks = [sum(1 << m[0] for m in per_class) for per_class in members]
+        g0, g1, g2 = self.groups
+        tris = []
+        for t in self.g.iter_triangles(*masks):
+            if len(tris) == n_eqs - 1:
+                return False
+            tris.append((g0[t.i0], g1[t.i1], g2[t.i2]))
+
+        # Gauss-Jordan over the integers; each row is [coefficients..., rhs]
+        # and keeps a positive pivot
+        m = len(tris)
+        eqs = [[0] * m + [size] for per_class in sizes for size in per_class]
+        offsets = (0, counts[0], counts[0] + counts[1])
+        for j, tri in enumerate(tris):
+            for c in range(3):
+                eqs[offsets[c] + tri[c]][j] = 1
+        pivots = []
+        for j in range(m):
+            r = len(pivots)
+            p = next((i for i in range(r, n_eqs) if eqs[i][j]), None)
+            if p is None:
+                continue
+            prow = eqs[p] if eqs[p][j] > 0 else [-x for x in eqs[p]]
+            eqs[p], eqs[r] = eqs[r], prow
+            pv = prow[j]
+            for i in range(n_eqs):
+                f = eqs[i][j]
+                if i != r and f:
+                    row = [x * pv - y * f for x, y in zip(eqs[i], prow)]
+                    d = math.gcd(*row)
+                    eqs[i] = [x // d for x in row] if d > 1 else row
+            pivots.append(j)
+        if any(eqs[i][m] for i in range(len(pivots), n_eqs)):
+            return True                  # no rational solution
+        free = [j for j in range(m) if j not in pivots]
+        if len(free) > 1:
+            return False
+
+        # pivot row k reads d_k x_j + a_k x_f = b_k; try each value of x_f
+        bound = 0
+        if free:
+            f = free[0]
+            bound = min(sizes[c][tris[f][c]] for c in range(3))
+        terms = [(row[m], row[f] if free else 0, row[j]) for row, j in zip(eqs, pivots)]
+        stats = self.stats
+        for value in range(bound + 1):
+            stats.nodes_expanded += 1
+            if stats.nodes_expanded > self.budget:
+                raise _Budget
+            x = [0] * m
+            if free:
+                x[f] = value
+            for (b, a, d), j in zip(terms, pivots):
+                q, rem = divmod(b - a * value, d)
+                if rem or q < 0:
+                    break
+                x[j] = q
+            else:
+                pools = [[iter(mem) for mem in per_class] for per_class in members]
+                self.solution = [
+                    Triangle(*(next(pools[c][tri[c]]) for c in range(3)))
+                    for tri, k in zip(tris, x) for _ in range(k)]
+                return True
+        return True
 
     def _root_counts(self) -> tuple[list[int], list[int], list[int]]:
         """Completion counts of every vertex with all vertices free."""
@@ -175,12 +281,15 @@ class _Searcher:
     def run(self) -> None:
         start = time.perf_counter()
         try:
-            full = (1 << self.n) - 1
-            self._dfs(full, full, full, *self._root_counts(), 0, [])
-        except _Budget:
+            if not (self.twin_pruning and self._quotient()):
+                self._search()
+        finally:
             self.stats.elapsed = time.perf_counter() - start
-            raise
-        self.stats.elapsed = time.perf_counter() - start
+
+    def _search(self) -> None:
+        """The node search, from the root with every vertex free."""
+        full = (1 << self.n) - 1
+        self._dfs(full, full, full, *self._root_counts(), 0, [])
 
     def _dfs(self, f0: int, f1: int, f2: int, c0: list[int], c1: list[int],
              c2: list[int], key: int, acc: list[tuple[int, int, int]]) -> bool:

@@ -9,6 +9,7 @@ edges), so parse . serialize is the identity on canonical files.
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 from .errors import ParseError
 from .graph import Triangle, TriangleCover, TripartiteGraph, build_graph
@@ -71,7 +72,8 @@ def serialize_cover(cover: TriangleCover) -> str:
     return json.dumps([[t.i0, t.i1, t.i2] for t in cover.triangles]) + "\n"
 
 
-def parse_cover(text: str) -> TriangleCover:
+def parse_cover(text: str, n: Optional[int] = None) -> TriangleCover:
+    """Parse a JSON cover; with n given, an index >= n is a ParseError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,6 +88,8 @@ def parse_cover(text: str) -> TriangleCover:
             raise ParseError(1, f"entry {k} is not an index triple")
         if min(item) < 0:
             raise ParseError(1, f"entry {k} has a negative index")
+        if n is not None and max(item) >= n:
+            raise ParseError(1, f"entry {k} has an index out of range for N={n}")
         tris.append(Triangle(*item))
     try:
         return TriangleCover(tris)
@@ -93,9 +97,9 @@ def parse_cover(text: str) -> TriangleCover:
         raise ParseError(1, str(exc)) from None
 
 
-def load_cover(path) -> TriangleCover:
+def load_cover(path, n: Optional[int] = None) -> TriangleCover:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_cover(fh.read())
+        return parse_cover(fh.read(), n)
 
 
 def save_cover(path, cover: TriangleCover) -> None:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from trifactor.cli import main
 from trifactor.io import load_cover, load_graph
 
@@ -134,3 +136,33 @@ def test_solve_extreme_witness_file(tmp_path):
     assert wpath.exists()
     data = json.loads(wpath.read_text())
     assert "sets" in data or "assignment" in data
+
+
+def test_verify_out_of_range_index_is_parse_error(tmp_path):
+    gpath = tmp_path / "g.tri3"
+    cpath = tmp_path / "c.json"
+    assert run(["gen", "--family", "gamma3", "--t", "1", "--out", gpath]) == 0
+    cpath.write_text("[[400000000, 0, 0]]\n")
+    assert run(["verify", "--input", gpath, "--cover", cpath]) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "seed=abc\n",
+    "delta0=2\n",
+    "exact_limit=-1\n",
+    "# knobs\ntheta 0.8\n",
+    "colour = blue\n",
+])
+def test_malformed_config_is_parse_error(tmp_path, capsys, text):
+    cfgfile = tmp_path / "knobs.cfg"
+    cfgfile.write_text(text)
+    gpath = tmp_path / "g.tri3"
+    assert run(["gen", "--family", "gamma3", "--t", "1", "--out", gpath]) == 0
+    assert run(["--config", cfgfile, "solve", "--input", gpath]) == 3
+    line = text.count("\n")
+    assert f"parse error: line {line}:" in capsys.readouterr().err
+
+
+def test_other_library_error_exit_code(tmp_path):
+    gpath = tmp_path / "g.tri3"
+    assert run(["gen", "--family", "complete", "--out", gpath]) == 4

@@ -10,6 +10,7 @@ import trifactor.exact
 from trifactor.errors import BudgetExceededError, InternalError
 from trifactor.exact import BUDGET, COVER, NO_FACTOR, exact_factor, has_factor
 from trifactor.families import (
+    blow_up,
     complete_tripartite,
     gamma3,
     gen_random_min_degree,
@@ -17,6 +18,7 @@ from trifactor.families import (
     theta33,
 )
 from trifactor.graph import CoverVerdict, TripartiteGraph, build_graph, iter_bits, verify_cover
+from trifactor.harness import _enumerate_bases
 
 from conftest import brute_count_factors, brute_has_factor
 
@@ -97,7 +99,9 @@ def test_twin_pruning_matches_plain_search():
 
 
 def test_budget_exceeded_is_distinct():
-    g = complete_tripartite(6)
+    # a twin-free instance whose node search needs six nodes
+    g = gen_random_min_degree(6, 0.7, 0)
+    assert exact_factor(g).stats.nodes_expanded > 2
     res = exact_factor(g, budget=2)
     assert res.status == BUDGET
     assert res.cover is None
@@ -290,12 +294,21 @@ oracle_instances = st.one_of(
 def test_incremental_search_matches_rescanning_reference(g, twins):
     ref = ReferenceSearcher(g, EQUIVALENCE_BUDGET, False, twins)
     ref_status = ref.run()
-    res = exact_factor(g, budget=EQUIVALENCE_BUDGET, twin_pruning=twins)
-    assert res.stats.nodes_expanded <= ref.nodes_expanded
+    # the node search alone: exact_factor may decide twin-heavy instances
+    # over their twin groups first
+    s = trifactor.exact._Searcher(g, EQUIVALENCE_BUDGET, False, twins)
+    try:
+        s._search()
+        status = COVER if s.solution is not None else NO_FACTOR
+    except trifactor.exact._Budget:
+        status = BUDGET
+    assert s.stats.nodes_expanded <= ref.nodes_expanded
     if ref_status != BUDGET:
-        assert res.status == ref_status
+        assert status == ref_status
         if ref_status == COVER:
-            assert [tuple(t) for t in res.cover.triangles] == ref.solution
+            assert [tuple(t) for t in s.solution] == ref.solution
+        res = exact_factor(g, budget=EQUIVALENCE_BUDGET, twin_pruning=twins)
+        assert res.status == ref_status
 
     ref = ReferenceSearcher(g, COUNT_BUDGET, True, False)
     if ref.run() != BUDGET:
@@ -318,3 +331,77 @@ def test_class0_dead_end_after_single_completion_fails_at_root():
     res = exact_factor(g)
     assert res.status == NO_FACTOR
     assert res.stats.nodes_expanded == 1
+
+
+# -- quotient step over twin groups --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_bases():
+    return list(_enumerate_bases(1)) + list(_enumerate_bases(2))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_quotient_step_matches_node_search(small_bases, t):
+    assert len(small_bases) == 148
+    for base in small_bases:
+        g = blow_up(base, t)
+        fast = exact_factor(g)
+        slow = exact_factor(g, twin_pruning=False)
+        assert fast.status == slow.status
+        for res in (fast, slow):
+            if res.status == COVER:
+                assert verify_cover(g, res.cover, require_perfect=True).ok
+
+
+@pytest.mark.parametrize("t", [21, 51, 101])
+def test_odd_gamma3_nofactor_in_t_plus_2_nodes(t):
+    res = exact_factor(gamma3(t))
+    assert res.status == NO_FACTOR
+    assert res.stats.nodes_expanded <= t + 2
+
+
+@pytest.mark.parametrize("g", [gamma3(100), theta33(101)], ids=["gamma3(100)", "theta33(101)"])
+def test_quotient_step_covers_at_scale(g):
+    res = exact_factor(g)
+    assert res.status == COVER
+    assert verify_cover(g, res.cover, require_perfect=True).ok
+
+
+def test_quotient_step_theta32_nofactor_at_scale():
+    assert exact_factor(theta32(50)).status == NO_FACTOR
+
+
+def test_quotient_step_budget_is_never_nofactor():
+    res = exact_factor(gamma3(101), budget=5)
+    assert res.status == BUDGET
+    assert res.stats.nodes_expanded == 6
+
+
+def test_count_mode_skips_quotient_step():
+    for t, count in ((1, 2), (2, 640)):
+        assert exact_factor(theta33(t), count_mode=True).count == count
+    assert brute_count_factors(theta33(1)) == 2
+
+
+def _disjoint_union(g, h):
+    edges = [((u.class_id, u.index), (v.class_id, v.index)) for u, v in g.edges()]
+    edges += [((u.class_id, g.n + u.index), (v.class_id, g.n + v.index))
+              for u, v in h.edges()]
+    return build_graph(g.n + h.n, edges)
+
+
+@pytest.mark.parametrize("g", [
+    # no twin group has two members
+    gen_random_min_degree(6, 0.7, 0),
+    # 18 groups of two and far more than 17 quotient triangles
+    blow_up(gen_random_min_degree(6, 0.7, 0), 2),
+    # two gamma3 components: 16 quotient triangles on 18 groups, but each
+    # component leaves one variable free
+    _disjoint_union(gamma3(2), gamma3(1)),
+], ids=["no twins", "triangles", "free variables"])
+def test_quotient_step_declines(g):
+    s = trifactor.exact._Searcher(g, 10**6, False, True)
+    assert s._quotient() is False
+    assert s.stats.nodes_expanded == 0
+    assert exact_factor(g).status == exact_factor(g, twin_pruning=False).status
