@@ -2,7 +2,7 @@
 
 Subcommands: gen, solve, verify, sweep, conjecture, roundtrip.
 Exit codes: 0 success, 2 verification failure, 3 parse error, 4 any other
-library error.
+library error or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except TrifactorError as exc:
+    except (TrifactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

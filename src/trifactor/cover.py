@@ -1,6 +1,6 @@
 """Constructive covering pipeline.
 
-Four layers, from cheap to expensive:
+Five layers, from cheap to expensive:
 
 * easy_cover - at min cross-degree >= ceil(3N/4) a perfect cover always
   exists: take a perfect matching between classes 1 and 2 (degrees are
@@ -22,9 +22,17 @@ Four layers, from cheap to expensive:
   replacement cap and re-verifies the cover; triangle searches inside
   vertex masks go through TripartiteGraph.iter_triangles/find_triangle.
 
+* _endgame - finishes a cover that the augmentation loop left 1-3
+  triangles short, by large-neighbourhood search (Shaw, CP 1998): free the
+  uncovered vertices plus the k cover triangles with the most edges into
+  them, decide that small sub-instance with the exact oracle, and splice
+  its factor back in; k doubles on failure.  A failure proves nothing
+  about the whole graph.
+
 * solve - driver: easy path, greedy + augmentation loop, extreme-case
-  classification and cover, with the exact oracle as the fallback for
-  desk-size instances.  A returned NoFactor is always oracle-confirmed.
+  classification and cover, the endgame, with the exact oracle as the
+  fallback for desk-size instances.  A returned NoFactor is always
+  oracle-confirmed on the whole graph.
 """
 
 from __future__ import annotations
@@ -696,6 +704,13 @@ class AugmentStepRecord:
     replaced: int
 
 
+@dataclass(frozen=True)
+class EndgameRecord:
+    freed: int      # cover triangles freed in the last round (its k)
+    calls: int      # exact_factor calls on sub-instances
+    nodes: int      # their nodes, summed
+
+
 @dataclass
 class SolveOutcome:
     kind: str                     # cover | extreme | nofactor | indeterminate
@@ -705,6 +720,7 @@ class SolveOutcome:
     source: str = ""
     reason: str = ""
     steps: list = field(default_factory=list)
+    endgame: Optional[EndgameRecord] = None    # None: the endgame did not run
 
     def has_factor_decision(self) -> Optional[bool]:
         return {"cover": True, "nofactor": False}.get(self.kind)
@@ -758,8 +774,65 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
         if cover.size == n:
             _check_cover(g, cover, "augmentation loop", require_perfect=True)
             return SolveOutcome("cover", cover=cover, source="constructive", steps=steps)
+        if (witness is None and mode == "auto" and n > cfg.exact_limit
+                and cover.size >= n - 3):
+            finished, record = _endgame(g, cover, cfg, budget)
+            if finished is not None:
+                return SolveOutcome("cover", cover=finished, source="endgame",
+                                    steps=steps, endgame=record)
+            out = _fallback(g, cfg, mode, steps, budget=budget)
+            out.endgame = record
+            return out
 
     return _fallback(g, cfg, mode, steps, witness=witness, budget=budget)
+
+
+def _endgame(g: TripartiteGraph, cover: TriangleCover, cfg: Config,
+             budget: Optional[int]) -> tuple[Optional[TriangleCover], EndgameRecord]:
+    """Finish a cover that is d = N - size triangles short by exact repair.
+
+    Each round frees the d uncovered vertices of every class plus the k
+    cover triangles with the most edges into the uncovered sets (ties keep
+    cover order), decides that sub-instance of d + k vertices per class with
+    exact_factor, and on a factor splices it in with the kept triangles.
+    k runs 3, 6, 12, ... while it is at most exact_limit - d, so a
+    sub-instance is never larger than the whole graphs the oracle fallback
+    is trusted with; as solve only calls it at N > exact_limit, some cover
+    triangle is always kept.  Returns the verified perfect cover, or None
+    when no round found one, with the record.  A None decides nothing.
+    """
+    n = g.n
+    d = n - cover.size
+    u0, u1, u2 = (cover.uncovered_mask(n, c) for c in range(3))
+    r = g._rows
+    r01, r02, r10 = r[(0, 1)], r[(0, 2)], r[(1, 0)]
+    r12, r20, r21 = r[(1, 2)], r[(2, 0)], r[(2, 1)]
+    tris = cover.triangles
+    score = [(r01[a] & u1).bit_count() + (r02[a] & u2).bit_count()
+             + (r10[b] & u0).bit_count() + (r12[b] & u2).bit_count()
+             + (r20[c] & u0).bit_count() + (r21[c] & u1).bit_count()
+             for a, b, c in tris]
+    order = sorted(range(len(tris)), key=score.__getitem__, reverse=True)
+    cap = cfg.exact_limit - d
+    k, freed, calls, nodes = min(3, cap), 0, 0, 0
+    while 0 < k <= cap:
+        keep = [u0, u1, u2]
+        for j in order[:k]:
+            for c, i in enumerate(tris[j]):
+                keep[c] |= 1 << i
+        sub, maps = g.induce(keep)
+        res = exact_factor(sub, budget=budget)
+        calls += 1
+        nodes += res.stats.nodes_expanded
+        if res.status == COVER:
+            m0, m1, m2 = maps
+            lifted = [Triangle(m0[a], m1[b], m2[c]) for a, b, c in res.cover.triangles]
+            finished = TriangleCover([tris[j] for j in order[k:]] + lifted)
+            _check_cover(g, finished, "endgame", require_perfect=True)
+            return finished, EndgameRecord(k, calls, nodes)
+        freed = k
+        k *= 2
+    return None, EndgameRecord(freed, calls, nodes)
 
 
 def _exact_outcome(g, cfg, steps, witness=None, structure=None,
@@ -957,7 +1030,7 @@ def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str,
         cover = TriangleCover(lifted + red.removed)
         _check_cover(g, cover, "reduction lift", require_perfect=True)
         return SolveOutcome("cover", cover=cover, source="reduction",
-                            steps=sub_out.steps)
+                            steps=sub_out.steps, endgame=sub_out.endgame)
     if sub_out.kind == "nofactor":
         # the reduced graph may be the exceptional odd gamma3; then the
         # removed vertices can be traded against one of its triangles

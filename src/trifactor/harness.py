@@ -137,10 +137,11 @@ def _enumerate_bases(n: int, sample: int = 0, seed: int = 0):
 
     def canon(g: TripartiteGraph):
         best = None
+        edges = g.edges()
         for pc in perms_c:
             for pv in itertools.product(perms_v, repeat=3):
                 key = []
-                for u, v in g.edges():
+                for u, v in edges:
                     a = (pc[u.class_id], pv[u.class_id][u.index])
                     b = (pc[v.class_id], pv[v.class_id][v.index])
                     key.append(tuple(sorted((a, b))))

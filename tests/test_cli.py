@@ -166,3 +166,22 @@ def test_malformed_config_is_parse_error(tmp_path, capsys, text):
 def test_other_library_error_exit_code(tmp_path):
     gpath = tmp_path / "g.tri3"
     assert run(["gen", "--family", "complete", "--out", gpath]) == 4
+
+
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    assert run(["solve", "--input", tmp_path / "missing.tri3"]) == 4
+    assert "error: " in capsys.readouterr().err
+
+
+def test_missing_cover_file_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.tri3"
+    assert run(["gen", "--family", "gamma3", "--t", "2", "--out", gpath]) == 0
+    assert run(["verify", "--input", gpath, "--cover", tmp_path / "missing.json"]) == 4
+    assert "error: " in capsys.readouterr().err
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.tri3"
+    assert run(["gen", "--family", "gamma3", "--t", "2", "--out", gpath]) == 0
+    assert run(["--config", tmp_path / "missing.cfg", "solve", "--input", gpath]) == 4
+    assert "error: " in capsys.readouterr().err

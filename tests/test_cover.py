@@ -485,3 +485,117 @@ def test_solve_passes_budget_and_mode_on_extreme_path(monkeypatch):
     out = solve(g, Config(eps_prime=0.08), mode="constructive", budget=10 ** 6)
     assert (out.kind, out.reason) == ("indeterminate", "gamma3-witness")
     assert budgets == []
+
+
+# -- endgame -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [18, 21, 24, 27, 30])
+@pytest.mark.parametrize("frac", [2 / 3, 0.7])
+def test_endgame_oracle_equivalence_above_exact_limit(n, frac):
+    # 15 < N <= 30: greedy and augmentation stop 1-3 triangles short on
+    # most of these, and the endgame must finish every one
+    finished = 0
+    for seed in range(6):
+        g = gen_random_min_degree(n, frac, seed)
+        out = solve(g, Config(seed=seed))
+        assert out.kind == "cover", (n, frac, seed, out.reason)
+        assert verify_cover(g, out.cover, require_perfect=True).ok
+        assert exact_factor(g).status == COVER
+        if out.source == "endgame":
+            finished += 1
+            assert out.endgame.calls >= 1 and out.endgame.freed >= 3
+        else:
+            assert out.endgame is None
+    assert finished >= 1
+
+
+@pytest.mark.parametrize("t", [7, 9])
+@pytest.mark.parametrize("limit", [15, 12])
+def test_endgame_failure_on_odd_gamma3_is_never_nofactor(t, limit, monkeypatch):
+    # odd gamma3(t) has no factor, but only the whole-graph oracle may say
+    # so; k doubles from 3 while the sub-instance stays within exact_limit
+    sizes = _spy_oracle(monkeypatch)
+    cfg = Config(exact_limit=limit)
+    out = solve(gamma3(t), cfg)
+    assert out.kind == "indeterminate" and out.reason == "stuck"
+    assert out.endgame is not None and out.endgame.calls == len(sizes) >= 1
+    d = sizes[0][0] - 3          # uncovered vertices per class
+    assert 1 <= d <= 3
+    assert [m for m, _ in sizes] == [d + 3 * 2 ** j for j in range(len(sizes))]
+    assert sizes[-1][0] <= limit < d + 6 * 2 ** (len(sizes) - 1)
+    assert out.endgame.freed == sizes[-1][0] - d
+
+
+def test_endgame_not_entered_in_constructive_mode(monkeypatch):
+    g = gen_random_min_degree(18, 2 / 3, 1)
+    assert solve(g, Config(seed=1)).source == "endgame"
+    calls = _spy_oracle(monkeypatch)
+    out = solve(g, Config(seed=1), mode="constructive")
+    assert (out.kind, out.reason, out.endgame) == ("indeterminate", "stuck", None)
+    assert calls == []
+
+
+def test_endgame_not_entered_within_exact_limit():
+    # at N <= exact_limit the whole-graph oracle decides, as before
+    for seed in (0, 1, 2, 3, 5):
+        out = solve(gen_random_min_degree(15, 2 / 3, seed), Config(seed=seed))
+        assert (out.kind, out.source, out.endgame) == ("cover", "exact-fallback", None)
+    g = gen_random_min_degree(18, 2 / 3, 1)
+    out = solve(g, Config(seed=1, exact_limit=18))
+    assert (out.kind, out.source, out.endgame) == ("cover", "exact-fallback", None)
+
+
+def test_endgame_reached_through_reduction():
+    g = gen_random_min_degree(19, 2 / 3, 0)
+    out = solve(g, Config(seed=0))
+    assert out.source == "reduction" and out.endgame is not None
+    assert verify_cover(g, out.cover, require_perfect=True).ok
+
+
+def _reference_keep(g, cover, k):
+    """Uncovered vertices plus the k cover triangles with the most edges
+    into them, ties in cover order, scored edge by edge."""
+    n = g.n
+    unc = [[i for i in range(n) if not cover.covered[c] >> i & 1] for c in range(3)]
+
+    def score(t):
+        return sum(g.has_edge((c, t[c]), (o, x))
+                   for c in range(3) for o in range(3) if o != c for x in unc[o])
+
+    ranked = sorted(cover.triangles, key=lambda t: -score(t))
+    keep = [sum(1 << i for i in u) for u in unc]
+    for t in ranked[:k]:
+        for c in range(3):
+            keep[c] |= 1 << t[c]
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("drop", [1, 2, 3])
+def test_endgame_frees_best_scored_triangles(seed, drop, monkeypatch):
+    g = gen_random_min_degree(24, 2 / 3, seed)
+    full = exact_factor(g).cover.triangles
+    cover = TriangleCover(full[drop:])
+    subs = []
+    real = trifactor.cover.exact_factor
+
+    def spy(sub, budget=None, **kw):
+        subs.append(sub)
+        return real(sub, budget=budget, **kw)
+
+    monkeypatch.setattr(trifactor.cover, "exact_factor", spy)
+    finished, record = trifactor.cover._endgame(g, cover, Config(), None)
+    assert verify_cover(g, finished, require_perfect=True).ok
+    assert (record.freed, record.calls) == (3, 1)
+    assert subs == [g.induce(_reference_keep(g, cover, 3))[0]]
+
+
+def test_endgame_lift_gate_raises_internal_error(monkeypatch):
+    g = gen_random_min_degree(18, 2 / 3, 1)
+    out = solve(g, Config(seed=1))
+    assert out.source == "endgame" and out.steps == []
+    monkeypatch.setattr(trifactor.cover, "verify_cover",
+                        lambda *a, **kw: CoverVerdict(False, "missing-edge"))
+    with pytest.raises(InternalError, match="endgame"):
+        solve(g, Config(seed=1))
