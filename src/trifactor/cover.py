@@ -185,43 +185,38 @@ class ExtremeWitness:
 
 def finish_extreme_witness(g: TripartiteGraph, masks, cfg: Config
                            ) -> Optional[ExtremeWitness]:
-    """Resize a candidate sparse triple to exactly floor(N/3) per class and
-    certify pairwise densities < delta0.
-
-    Oversized sets drop their highest-cross-degree vertices first (those
-    contribute the most density); undersized ones pad with the outside
-    vertices least adjacent to the other two sets.
-    """
-    n = g.n
-    target = n // 3
+    """Resize a candidate sparse triple to exactly floor(N/3) per class with
+    resize_set and certify pairwise densities < delta0."""
+    target = g.n // 3
     if target == 0:
         return None
     cur = list(masks)
-
-    def deg_into_others(c: int, i: int, who) -> int:
-        d = 0
-        for cp in range(3):
-            if cp != c:
-                d += (g.nbr_mask(c, i, cp) & who[cp]).bit_count()
-        return d
-
     for c in range(3):
-        members = list(iter_bits(cur[c]))
-        while len(members) > target:
-            worst = max(members, key=lambda i: (deg_into_others(c, i, cur), i))
-            members.remove(worst)
-            cur[c] &= ~(1 << worst)
-        if len(members) < target:
-            outside = [i for i in range(n) if not cur[c] >> i & 1]
-            outside.sort(key=lambda i: (deg_into_others(c, i, cur), i))
-            for i in outside[: target - len(members)]:
-                cur[c] |= 1 << i
+        cur[c] = resize_set(g, c, cur, target)
     dens = (g.density_masks(0, cur[0], 1, cur[1]),
             g.density_masks(0, cur[0], 2, cur[2]),
             g.density_masks(1, cur[1], 2, cur[2]))
     if max(dens) >= cfg.delta0_frac:
         return None
     return ExtremeWitness(tuple(tuple(iter_bits(m)) for m in cur), dens)
+
+
+def resize_set(g: TripartiteGraph, c: int, masks, target: int) -> int:
+    """masks[c] shrunk or padded to target vertices.
+
+    Members leave most adjacent to the other two sets first (those
+    contribute the most density; higher index first on ties); outside
+    vertices enter least adjacent first (lower index first on ties).
+    """
+    def deg(i: int) -> int:
+        return sum((g.nbr_mask(c, i, cp) & masks[cp]).bit_count()
+                   for cp in range(3) if cp != c)
+
+    members = sorted(iter_bits(masks[c]), key=lambda i: (deg(i), i))
+    if len(members) >= target:
+        return mask_of(members[:target])
+    outside = sorted(iter_bits(((1 << g.n) - 1) ^ masks[c]), key=lambda i: (deg(i), i))
+    return masks[c] | mask_of(outside[:target - len(members)])
 
 
 # ---------------------------------------------------------------------------
@@ -659,36 +654,38 @@ def _trim_to_sparse(g: TripartiteGraph, masks: list[int], thr: int) -> list[int]
         cur[c] &= ~(1 << v)
 
 
+def anchored_sparse_triple(g: TripartiteGraph, w: int, masks, thr: int
+                           ) -> Optional[list[int]]:
+    """The sparse triple anchored at class-2 vertex w, inside masks.
+
+    w's neighbours in classes 0 and 1 are trimmed until sparse to each
+    other, joined by the class-2 vertices that see fewer than thr of each,
+    and the three sets are trimmed again.  None when a set ends up empty.
+    """
+    m0, m1, m2 = masks
+    a0, a1, _ = _trim_to_sparse(g, [g.nbr_mask(2, w, 0) & m0,
+                                    g.nbr_mask(2, w, 1) & m1, 0], thr)
+    if not a0 or not a1:
+        return None
+    a2 = 0
+    for v in iter_bits(m2):
+        if ((g.nbr_mask(2, v, 0) & a0).bit_count() < thr
+                and (g.nbr_mask(2, v, 1) & a1).bit_count() < thr):
+            a2 |= 1 << v
+    triple = _trim_to_sparse(g, [a0, a1, a2], thr)
+    return triple if all(triple) else None
+
+
 def _theta_triple_witness(g: TripartiteGraph, masks, cfg: Config):
     """Extract a sparse same-column triple from the failed pinned phase, the
     anchor-based opening of the theta-structure argument."""
-    m0, m1, m2 = masks
-    if not (m0 and m1 and m2):
-        return None
-    t_scale = max(1, g.n // 3)
-    thr = max(2, int(cfg.delta0 * t_scale) + 1)
-    for w in iter_bits(m2):
-        a0 = g.nbr_mask(2, w, 0) & m0
-        a1 = g.nbr_mask(2, w, 1) & m1
-        if not a0 or not a1:
-            continue
-        a0, a1, _ = _trim_to_sparse(g, [a0, a1, 0], thr)
-        if not a0 or not a1:
-            continue
-        a2 = 0
-        for v in iter_bits(m2):
-            d0 = (g.nbr_mask(2, v, 0) & a0).bit_count()
-            d1 = (g.nbr_mask(2, v, 1) & a1).bit_count()
-            if d0 < thr and d1 < thr:
-                a2 |= 1 << v
-        if not a2:
-            continue
-        triple = _trim_to_sparse(g, [a0, a1, a2], thr)
-        if not all(triple):
-            continue
-        witness = finish_extreme_witness(g, triple, cfg)
-        if witness is not None:
-            return witness
+    thr = max(2, int(cfg.delta0 * max(1, g.n // 3)) + 1)
+    for w in iter_bits(masks[2]):
+        triple = anchored_sparse_triple(g, w, masks, thr)
+        if triple is not None:
+            witness = finish_extreme_witness(g, triple, cfg)
+            if witness is not None:
+                return witness
     return None
 
 

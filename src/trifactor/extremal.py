@@ -7,6 +7,13 @@ witness is a total assignment of vertices to clusters plus the realized
 maximum density over the model's non-edge cluster pairs, so a witness can
 always be re-certified from the graph alone.
 
+Recognition: classify_theta32 resizes cover's anchored sparse triple into
+the two-column structure.  For gamma3 vs theta33, the degree refinement
+classify_extreme_partition finds the column-0 sets A', and
+discriminate_gamma_vs_theta splits the rest of each class into two halves
+by majority adjacency (planted-partition recovery) and tells the models
+apart by how the halves pair up across the three classes.
+
 The extreme-case cover follows the labeled-split procedure: make every
 cluster exactly t via red/green/blue moves (colored vertices always travel
 with an edge or a label that keeps them completable), fix odd parity with
@@ -24,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import Config, as_fraction, ceil_frac, floor_frac
-from .cover import ExtremeWitness, match_triple_cover
+from .cover import ExtremeWitness, anchored_sparse_triple, match_triple_cover, resize_set
 from .errors import (
     InternalError,
     ModelMismatchError,
@@ -35,8 +42,6 @@ from .errors import (
     WitnessInvalidError,
 )
 from .graph import Triangle, TriangleCover, TripartiteGraph, iter_bits, mask_of, verify_cover
-from .matching import BipartiteView, detect_theta22
-from .errors import HasPerfectMatchingError, PreconditionDegreeError
 
 GAMMA3 = "gamma3"
 THETA33 = "theta33"
@@ -116,12 +121,12 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
     """Recover the two-columns-per-class structure of a near-extremal
     triangle-free graph.
 
-    Anchored at a vertex w of class 2: its neighborhoods in classes 0 and 1
-    span no edge, the class-2 vertices sparse toward both join them, the
-    three sets are trimmed until mutually sparse, and sizes are rebalanced
-    into [(1-eps)t, (1+eps)t].  All six same-column densities of the result
-    must certify below delta.  Raises NotTriangleFreeError when no anchor
-    certifies and the graph does contain a triangle.
+    Anchored at a vertex w of class 2: the column-0 sets are the
+    anchored_sparse_triple of w at threshold inner*t, resized (resize_set)
+    into [(1-eps)t, (1+eps)t] with complements in the same band.  All six
+    same-column densities of the result must certify below delta.  Raises
+    NotTriangleFreeError when no anchor certifies and the graph does
+    contain a triangle.
     """
     n = h.n
     lo_cls = 2 * (Fraction(1) - as_fraction(eps)) * t
@@ -136,27 +141,9 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
     hi_t = (Fraction(1) + as_fraction(eps)) * t
 
     for w in range(n):
-        a = [h.nbr_mask(2, w, 0), h.nbr_mask(2, w, 1), 0]
-        if not a[0] or not a[1]:
+        a = anchored_sparse_triple(h, w, (full, full, full), thr)
+        if a is None:
             continue
-        a[2] = 0
-        for v in range(n):
-            if ((h.nbr_mask(2, v, 0) & a[0]).bit_count() < thr
-                    and (h.nbr_mask(2, v, 1) & a[1]).bit_count() < thr):
-                a[2] |= 1 << v
-
-        changed = True
-        while changed:
-            changed = False
-            for c in range(3):
-                for v in iter_bits(a[c]):
-                    for cp in range(3):
-                        if cp == c:
-                            continue
-                        if (h.nbr_mask(c, v, cp) & a[cp]).bit_count() >= thr:
-                            a[c] &= ~(1 << v)
-                            changed = True
-                            break
 
         ok = True
         for c in range(3):
@@ -165,7 +152,7 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
             if target < 1 or target >= n:
                 ok = False
                 break
-            a[c] = _resize_set(h, c, a[c], full, target, a)
+            a[c] = resize_set(h, c, a, target)
         if not ok:
             continue
 
@@ -202,28 +189,6 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
     if h.find_triangle() is not None:
         raise NotTriangleFreeError("graph has triangles and no anchor certified")
     return None
-
-
-def _resize_set(h: TripartiteGraph, c: int, mask: int, full: int, target: int,
-                others) -> int:
-    """Grow/shrink one column set to the target size; offenders (dense toward
-    the other column-0 sets) leave first, quiet vertices enter first."""
-
-    def offense(v: int) -> int:
-        d = 0
-        for cp in range(3):
-            if cp != c:
-                d += (h.nbr_mask(c, v, cp) & others[cp]).bit_count()
-        return d
-
-    members = sorted(iter_bits(mask), key=lambda v: (-offense(v), v))
-    while len(members) > target:
-        members.pop(0)
-    if len(members) < target:
-        outside = sorted((v for v in iter_bits(full ^ mask)),
-                         key=lambda v: (offense(v), v))
-        members.extend(outside[: target - len(members)])
-    return mask_of(members)
 
 
 # ---------------------------------------------------------------------------
@@ -295,153 +260,66 @@ def classify_extreme_partition(g: TripartiteGraph, witness: ExtremeWitness,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairPartition:
-    """Two halves per side of one class pair; label a on one side is dense
-    toward label a on the other, the crossed pairings are sparse."""
-
-    a_left: int
-    b_left: int
-    a_right: int
-    b_right: int
-    d_sparse: Fraction
-
-    def swapped(self) -> "PairPartition":
-        return PairPartition(self.b_left, self.a_left, self.b_right,
-                             self.a_right, self.d_sparse)
-
-
-def _equalize(g, ca, mask_a, cb, mask_b):
-    while mask_a.bit_count() > mask_b.bit_count():
-        v = min(iter_bits(mask_a),
-                key=lambda i: ((g.nbr_mask(ca, i, cb) & mask_b).bit_count(), i))
-        mask_a &= ~(1 << v)
-    while mask_b.bit_count() > mask_a.bit_count():
-        v = min(iter_bits(mask_b),
-                key=lambda i: ((g.nbr_mask(cb, i, ca) & mask_a).bit_count(), i))
-        mask_b &= ~(1 << v)
-    return mask_a, mask_b
-
-
-def _pair_partition(g: TripartiteGraph, ca: int, mask_a: int, cb: int,
-                    mask_b: int, eps: float, delta: float) -> Optional[PairPartition]:
-    """Find the two-blocks split of one remainder pair.
-
-    Perfect matchings hide the block structure, so the pair is probed with
-    one vertex removed from each side: as soon as the removals land in
-    dense-partner blocks of different labels, the matching fails and the
-    Hall violator seeds the split, which is then extended to the full sides
-    by majority adjacency and re-certified.
-    """
-    ea, eb = _equalize(g, ca, mask_a, cb, mask_b)
-    la, lb = list(iter_bits(ea)), list(iter_bits(eb))
-    if not la or not lb:
-        return None
-    trials = [(None, None)]
-    for v in la[:4]:
-        trials.extend((v, w) for w in lb)
-    cap = as_fraction(delta)
-    for v, w in trials:
-        keep_a = [i for i in la if i != v]
-        keep_b = [j for j in lb if j != w]
-        if len(keep_a) != len(keep_b) or not keep_a:
-            continue
-        bv = BipartiteView.from_graph_pair(g, ca, keep_a, cb, keep_b)
-        try:
-            wit = detect_theta22(bv, eps, delta)
-        except (HasPerfectMatchingError, PreconditionDegreeError):
-            continue
-        if wit is None:
-            continue
-        ra_seed = mask_of(j for (_, j) in wit.right_a)
-        rb_seed = mask_of(j for (_, j) in wit.right_b)
-        la_seed = mask_of(i for (_, i) in wit.left_a)
-        lb_seed = mask_of(i for (_, i) in wit.left_b)
-        pa_left = pa_right = 0
-        for i in iter_bits(mask_a):
-            row = g.nbr_mask(ca, i, cb)
-            if (row & ra_seed).bit_count() >= (row & rb_seed).bit_count():
-                pa_left |= 1 << i
-        for j in iter_bits(mask_b):
-            row = g.nbr_mask(cb, j, ca)
-            if (row & la_seed).bit_count() >= (row & lb_seed).bit_count():
-                pa_right |= 1 << j
-        pb_left = mask_a ^ pa_left
-        pb_right = mask_b ^ pa_right
-        if not (pa_left and pb_left and pa_right and pb_right):
-            continue
-        d1 = g.density_masks(ca, pa_left, cb, pb_right)
-        d2 = g.density_masks(ca, pb_left, cb, pa_right)
-        if d1 <= cap and d2 <= cap:
-            return PairPartition(pa_left, pb_left, pa_right, pb_right, max(d1, d2))
-    return None
-
-
-def _overlap_ratio(m1: int, m2: int) -> float:
-    denom = min(m1.bit_count(), m2.bit_count())
-    if denom == 0:
-        return 0.0
-    return (m1 & m2).bit_count() / denom
-
-
 def discriminate_gamma_vs_theta(g: TripartiteGraph, ep: ExtremePartition,
-                                eps: float = 0.25, delta: float = 0.05,
-                                band: tuple = (0.25, 0.75)
+                                delta: float = 0.05, band: tuple = (0.25, 0.75)
                                 ) -> Optional[StructureWitness]:
     """Decide whether the remainder blocks of the three class pairs coincide
-    (gamma3) or cross (theta33); None is the inconclusive middle band."""
-    n = g.n
-    full = (1 << n) - 1
+    (gamma3) or cross (theta33); None is the inconclusive middle band.
+
+    Outside A' each class splits into two halves, and each half is dense
+    toward one half of every other class, its partner.  The halves are
+    recovered by majority adjacency, as in planted-partition recovery
+    (McSherry, FOCS 2001): the class-1 half starts as one class-0 remainder
+    vertex's neighbourhood, then the class-0 half and its class-1 partner
+    are each re-read as the vertices with most of their remainder edges
+    into the other, until they stop changing; the class-2 partner of the
+    class-0 half is read the same way.  The class-1 and class-2 partners
+    are dense to each other (density >= band[1]) in gamma3, where all three
+    are column 1, and sparse (<= band[0]) in theta33, where they share the
+    column opposite the class-0 half.  The witness must certify below delta.
+    """
+    full = (1 << g.n) - 1
     rem = [full ^ ep.a_prime[c] for c in range(3)]
-    pp = {}
-    for ca, cb in ((0, 1), (0, 2), (1, 2)):
-        res = _pair_partition(g, ca, rem[ca], cb, rem[cb], eps, delta)
-        if res is None:
-            return None
-        pp[(ca, cb)] = res
+    if not rem[0]:
+        return None
+
+    def majority(c: int, cp: int, half: int) -> int:
+        out = 0
+        for i in iter_bits(rem[c]):
+            row = g.nbr_mask(c, i, cp) & rem[cp]
+            if 2 * (row & half).bit_count() > row.bit_count():
+                out |= 1 << i
+        return out
+
+    seed = (rem[0] & -rem[0]).bit_length() - 1
+    p1 = g.nbr_mask(0, seed, 1) & rem[1]
+    for _ in range(8):  # blow-ups settle within two rounds
+        h0 = majority(0, 1, p1)
+        p1, prev = majority(1, 0, h0), p1
+        if p1 == prev:
+            break
+    p2 = majority(2, 0, h0)
+    halves = [h0, p1, p2]
+    if not all(m and m != rem[c] for c, m in enumerate(halves)):
+        return None
+    d = g.density_masks(1, p1, 2, p2)
     lo, hi = band
-
-    def align(key, seed_mask, side) -> bool:
-        cur = pp[key].a_left if side == "left" else pp[key].a_right
-        r = _overlap_ratio(cur, seed_mask)
-        if r >= hi:
-            return True
-        if r <= lo:
-            pp[key] = pp[key].swapped()
-            return True
-        return None
-
-    if align((1, 2), pp[(0, 1)].a_right, "left") is None:
-        return None
-    if align((0, 2), pp[(1, 2)].a_right, "right") is None:
-        return None
-
-    r = _overlap_ratio(pp[(0, 1)].a_left, pp[(0, 2)].a_left)
-    if r >= hi:
+    if d >= as_fraction(hi):
         model = GAMMA3
-    elif r <= lo:
+    elif d <= as_fraction(lo):
         model = THETA33
     else:
         return None
 
-    cols = [[0, 0, 0] for _ in range(3)]
-    for c in range(3):
-        cols[c][0] = ep.a_prime[c]
-    if model == GAMMA3:
-        cols[0][1] = pp[(0, 1)].a_left
-        cols[1][1] = pp[(0, 1)].a_right
-        cols[2][1] = pp[(1, 2)].a_right
-    else:
-        cols[0][1] = pp[(0, 1)].a_left
-        cols[1][1] = pp[(0, 1)].b_right
-        cols[2][1] = pp[(0, 2)].a_right
-    for c in range(3):
-        cols[c][2] = rem[c] ^ cols[c][1]
-
+    # the class-0 half is column 1; its partners are column 1 in gamma3 and
+    # column 2 in theta33
     assignment = {}
     for c in range(3):
-        for j in range(3):
-            for i in iter_bits(cols[c][j]):
+        cols = [ep.a_prime[c], halves[c], rem[c] ^ halves[c]]
+        if model == THETA33 and c:
+            cols[1], cols[2] = cols[2], cols[1]
+        for j, m in enumerate(cols):
+            for i in iter_bits(m):
                 assignment[(c, i)] = (c, j)
     sw = witness_from_assignment(g, model, assignment)
     if sw.max_nonedge_density > as_fraction(delta):

@@ -2,7 +2,8 @@
 
 .tri3: line 1 is `tri3 <N>`, then one line per edge
 `e <classA> <idxA> <classB> <idxB>` with classA < classB, 0-indexed.
-Lines starting with `#` are comments.  Serialization is canonical (sorted
+Lines starting with `#` are comments; N may be at most MAX_N, as the graph
+allocates its adjacency rows up front.  Serialization is canonical (sorted
 edges), so parse . serialize is the identity on canonical files.
 """
 
@@ -13,6 +14,8 @@ from typing import Optional
 
 from .errors import ParseError
 from .graph import Triangle, TriangleCover, TripartiteGraph, build_graph
+
+MAX_N = 100_000  # largest class size parse_graph accepts
 
 
 def serialize_graph(g: TripartiteGraph) -> str:
@@ -39,6 +42,8 @@ def parse_graph(text: str) -> TripartiteGraph:
                 raise ParseError(lineno, f"bad N {parts[1]!r}") from None
             if n <= 0:
                 raise ParseError(lineno, "N must be positive")
+            if n > MAX_N:
+                raise ParseError(lineno, f"N {n} exceeds the limit {MAX_N}")
             continue
         if parts[0] != "e" or len(parts) != 5:
             raise ParseError(lineno, "expected 'e <classA> <idxA> <classB> <idxB>'")

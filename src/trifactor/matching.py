@@ -1,12 +1,17 @@
 """Bipartite maximum matching with Hall-violator certificates.
 
-max_matching is a Hopcroft-Karp augmenting-path search; when the matching
-is not left-perfect, hall_violator extracts a set X with |N(X)| < |X| from
+max_matching is a Hopcroft-Karp augmenting-path search, iterative so that
+long augmenting paths cannot exhaust the recursion limit; the covering
+layers run all their matchings through it.  When the matching is not
+left-perfect, hall_violator extracts a set X with |N(X)| < |X| from
 alternating reachability, which is the standard constructive counterpart of
 the Konig-Hall condition.  detect_theta22 turns such a violator into the
 two-halves-per-side structure that appears when a near-half-degree pair has
 no perfect matching: both "parallel" half pairs must be sparse, and the
-witness records those densities so it certifies itself.
+witness records those densities so it certifies itself.  It is a standalone
+tool: a remainder pair of the extremal layer has balanced halves, hence a
+perfect matching and no violator, so that layer recovers its halves by
+majority adjacency instead.
 """
 
 from __future__ import annotations
@@ -38,21 +43,6 @@ class BipartiteView:
 
     def neighbors(self, u: Hashable) -> Iterable[Hashable]:
         return self._neighbors(u)
-
-    @classmethod
-    def from_graph_pair(cls, g, class_a: int, idx_a: Iterable[int],
-                        class_b: int, idx_b: Iterable[int]) -> "BipartiteView":
-        """View of one class pair of a TripartiteGraph restricted to subsets."""
-        from .graph import iter_bits, mask_of
-        la = sorted(idx_a)
-        lb = sorted(idx_b)
-        mb = mask_of(lb)
-
-        def nbrs(i):
-            return [(class_b, j) for j in iter_bits(g.nbr_mask(class_a, i, class_b) & mb)]
-
-        return cls([(class_a, i) for i in la], [(class_b, j) for j in lb],
-                   lambda u: nbrs(u[1]))
 
 
 @dataclass(frozen=True)
@@ -101,15 +91,32 @@ def max_matching(bv: BipartiteView) -> MatchingResult:
                     q.append(w)
         return found
 
-    def dfs(u) -> bool:
-        for v in bv.neighbors(u):
-            w = match_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root) -> None:
+        # depth-first search for an augmenting path on an explicit stack, so
+        # a long layered path cannot exhaust the recursion limit: path[k] is
+        # a left vertex and its neighbour iterator, via[k] the right vertex
+        # that leads from path[k] to path[k + 1]
+        path = [(root, iter(bv.neighbors(root)))]
+        via = []
+        while path:
+            u, nbrs = path[-1]
+            for v in nbrs:
+                w = match_r.get(v)
+                if w is None:
+                    via.append(v)
+                    for (x, _), y in zip(path, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    path.append((w, iter(bv.neighbors(w))))
+                    break
+            else:
+                dist[u] = INF
+                path.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for u in bv.left:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from trifactor.cli import main
-from trifactor.io import load_cover, load_graph
+from trifactor.io import MAX_N, load_cover, load_graph
 
 
 def run(args):
@@ -44,6 +44,13 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.tri3"
     bad.write_text("tri3 2\ne 0 0 9 9\n")
     assert run(["solve", "--input", bad]) == 3
+
+
+def test_oversized_header_exit_code(tmp_path, capsys):
+    big = tmp_path / "big.tri3"
+    big.write_text(f"tri3 {MAX_N + 1}\n")
+    assert run(["solve", "--input", big]) == 3
+    assert "parse error: line 1:" in capsys.readouterr().err
 
 
 def test_roundtrip_canonical(tmp_path):

@@ -192,6 +192,50 @@ def test_discriminate_inconclusive_on_hybrid():
     assert discriminate_gamma_vs_theta(g, ep) is None
 
 
+NOISY_MODELS = (("gamma3", lambda: gen_gamma(3)), ("theta33", lambda: gen_theta(3, 3)))
+
+
+def _discriminate_noisy(base, t, noise, seed):
+    """Blow-up with exact cluster sizes and noise on the model non-edges,
+    discriminated from the column-0 witness."""
+    res = approx_blow_up(base, t, 0.0, noise, seed)
+    g = res.graph
+    ep = classify_extreme_partition(g, column_witness(g, t), theta=0.8)
+    return res, discriminate_gamma_vs_theta(g, ep)
+
+
+@pytest.mark.parametrize("noise", [0.01, 0.02])
+@pytest.mark.parametrize("want,make_base", NOISY_MODELS, ids=["gamma3", "theta33"])
+def test_discriminate_recovers_noisy_blowups(want, make_base, noise):
+    t = 12
+    planted = 0
+    for seed in range(10):
+        res, sw = _discriminate_noisy(make_base(), t, noise, seed)
+        if sw is None:
+            continue
+        assert sw.model == want, seed
+        # the nine recovered clusters are the nine planted ones, relabelled
+        images = {}
+        for v, cluster in sw.assignment.items():
+            images.setdefault(cluster, set()).add(res.assignment[v])
+        assert len(images) == 9, seed
+        assert all(len(s) == 1 for s in images.values()), seed
+        assert len(set.union(*images.values())) == 9, seed
+        assert sw.max_nonedge_density <= 0.05
+        planted += 1
+    assert planted >= 9, planted
+
+
+def test_discriminate_never_mislabels_noisy_blowups():
+    # heavier noise may leave the verdict inconclusive, never wrong
+    for t in (6, 8, 12):
+        for noise in (0.0, 0.01, 0.02, 0.03, 0.04):
+            for want, make_base in NOISY_MODELS:
+                for seed in range(10):
+                    _, sw = _discriminate_noisy(make_base(), t, noise, seed)
+                    assert sw is None or sw.model == want, (t, noise, want, seed)
+
+
 # -- reachable ------------------------------------------------------------------
 
 

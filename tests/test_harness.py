@@ -12,6 +12,7 @@ from trifactor.harness import (
     run_sweep,
 )
 from trifactor.io import (
+    MAX_N,
     parse_cover,
     parse_graph,
     serialize_cover,
@@ -57,6 +58,14 @@ def test_parse_comments_and_index_ranges():
     assert g.has_edge((0, 0), (1, 1))
     with pytest.raises(ParseError):
         parse_graph("tri3 2\ne 0 0 1 2\n")
+
+
+def test_parse_rejects_header_above_max_n():
+    # the graph allocates its adjacency rows from the header alone
+    with pytest.raises(ParseError, match="exceeds the limit") as exc:
+        parse_graph(f"tri3 {MAX_N + 1}\n")
+    assert exc.value.line == 1
+    assert parse_graph(f"tri3 {MAX_N}\n").n == MAX_N
 
 
 def test_cover_roundtrip():

@@ -37,6 +37,18 @@ def test_complete_kn_n_perfect():
     assert mr.size == 5 and mr.left_perfect
 
 
+def test_long_augmenting_path_needs_no_recursion():
+    # the first phase matches i -> i + 1 and leaves the last vertex free;
+    # the second phase's only augmenting path then runs through all n
+    # left vertices, deeper than the default recursion limit
+    n = 2000
+    bv = BipartiteView(range(n), range(n),
+                       lambda i: [i + 1, i] if i < n - 1 else [i])
+    mr = max_matching(bv)
+    assert mr.size == n and mr.left_perfect
+    assert mr.pairs == tuple((i, i) for i in range(n))
+
+
 def test_star_matches_one():
     adj = {i: [0] for i in range(3)}
     mr = max_matching(view_from_dict(adj, 1))

@@ -1,6 +1,8 @@
-"""Source checks: soundness gates must survive python -O."""
+"""Source checks: soundness gates must survive python -O, and the package
+holds no private helper that nothing calls."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import trifactor
@@ -25,3 +27,29 @@ def test_no_asserts_in_package():
              for line, what in _asserts(ast.parse(path.read_text(), str(path)))]
     assert found == []
     assert len(list(SRC.glob("*.py"))) > 1
+
+
+def _names(node):
+    """Every name the node's code reads, as a name, an attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_no_unreferenced_private_definitions():
+    # a module-level _private function or class that nothing else in the
+    # package names is dead code; its own body does not count as a use
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    found = [f"{module}:{node.lineno}: {node.name}"
+             for module, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and uses[node.name] == Counter(_names(node))[node.name]]
+    assert found == []
