@@ -30,7 +30,7 @@ def test_no_asserts_in_package():
 
 
 def _names(node):
-    """Every name the node's code reads, as a name, an attribute or an import."""
+    """Every name the node's code mentions, as a name, an attribute or an import."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
