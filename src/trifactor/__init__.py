@@ -50,9 +50,6 @@ from .graph import (
 from .matching import (
     BipartiteView,
     MatchingResult,
-    Theta22Witness,
-    detect_theta22,
-    hall_violator,
     max_matching,
 )
 from .extremal import (
@@ -66,8 +63,6 @@ from .extremal import (
     discriminate_gamma_vs_theta,
     extreme_cover,
     find_parity_triangles,
-    is_exact_gamma3,
-    reachable,
 )
 from .harness import SweepSpec, check_conjecture, run_sweep
 

@@ -31,8 +31,10 @@ Five layers, from cheap to expensive:
 
 * solve - driver: easy path, greedy + augmentation loop, extreme-case
   classification and cover, the endgame, with the exact oracle as the
-  fallback for desk-size instances.  A returned NoFactor is always
-  oracle-confirmed on the whole graph.
+  fallback for desk-size instances.  When N is not divisible by 3,
+  reduce_mod3 peels 1 or 2 triangles and solve runs on the rest; a
+  NoFactor there sends the whole graph to the oracle.  A returned
+  NoFactor is always oracle-confirmed on the whole graph.
 """
 
 from __future__ import annotations
@@ -860,7 +862,7 @@ def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps, mode: str,
     from . import extremal
 
     try:
-        ep = extremal.classify_extreme_partition(g, witness, cfg.theta)
+        ep = extremal.classify_extreme_partition(g, witness, cfg.theta, cfg.delta0)
     except SizeBandViolatedError:
         return None
     sw = extremal.discriminate_gamma_vs_theta(g, ep, delta=cfg.delta0)
@@ -1017,8 +1019,6 @@ def _best_triangle(g: TripartiteGraph, keep) -> Optional[Triangle]:
 
 def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str,
                          budget: Optional[int]) -> Optional[SolveOutcome]:
-    from . import extremal
-
     red = reduce_mod3(g, cfg)
     sub_out = solve(red.graph, cfg, mode, budget)
     if sub_out.kind == "cover":
@@ -1029,87 +1029,8 @@ def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str,
         return SolveOutcome("cover", cover=cover, source="reduction",
                             steps=sub_out.steps, endgame=sub_out.endgame)
     if sub_out.kind == "nofactor":
-        # the reduced graph may be the exceptional odd gamma3; then the
-        # removed vertices can be traded against one of its triangles
-        assignment = extremal.is_exact_gamma3(red.graph)
-        if assignment is not None and (red.graph.n // 3) % 2 == 1:
-            cover = _gamma_swap_cover(g, red, assignment, cfg)
-            if cover is not None:
-                return SolveOutcome("cover", cover=cover, source="reduction-swap")
+        # only the oracle says NoFactor, so the reduced graph is within
+        # exact_limit and g within exact_limit + 2: the oracle decides g
+        return _exact_outcome(g, cfg, sub_out.steps, source="exact-fallback",
+                              budget=budget)
     return None
-
-
-def _gamma_swap_cover(g: TripartiteGraph, red: ReduceResult, assignment,
-                      cfg: Config) -> Optional[TriangleCover]:
-    """The removed-triangle trade: when the reduced graph is exactly the odd
-    gamma3 blow-up, every reduced vertex is adjacent to all removed vertices
-    in the other classes, so one column-2 triangle plus three removed-vertex
-    triangles peel the graph down to the even blow-up."""
-    from . import extremal
-
-    gp = red.graph
-    t = gp.n // 3
-    cols = [[0, 0, 0] for _ in range(3)]     # cols[class][col] = mask in gp
-    for (c, i), (_, col) in assignment.items():
-        cols[c][col] |= 1 << i
-
-    star, rest = red.removed[0], red.removed[1:]
-    consumed = [0, 0, 0]
-    tris: list[Triangle] = []
-
-    def to_g(c, i):
-        return red.maps[c][i]
-
-    def pick(c, col):
-        m = cols[c][col] & ~consumed[c]
-        if not m:
-            return None
-        i = (m & -m).bit_length() - 1
-        consumed[c] |= 1 << i
-        return i
-
-    # one triangle inside the last column
-    trans = [pick(c, 2) for c in range(3)]
-    if None in trans:
-        return None
-    # removed vertex r_c + an edge of gp spanning the right columns
-    edge_cols = {0: ((1, 0), (2, 1)), 1: ((0, 1), (2, 0)), 2: ((0, 0), (1, 1))}
-    r_parts = []
-    for c in range(3):
-        (c1, col1), (c2, col2) = edge_cols[c]
-        i1, i2 = pick(c1, col1), pick(c2, col2)
-        if i1 is None or i2 is None:
-            return None
-        parts = [None, None, None]
-        parts[c] = star[c]
-        parts[c1] = to_g(c1, i1)
-        parts[c2] = to_g(c2, i2)
-        r_parts.append(Triangle(*parts))
-    gi_trans = Triangle(*(to_g(c, trans[c]) for c in range(3)))
-    candidate = [gi_trans] + r_parts + list(rest)
-    for tri in candidate:
-        if not g.triangle_exists(tri):
-            return None
-    tris.extend(candidate)
-
-    keep = [((1 << gp.n) - 1) & ~consumed[c] for c in range(3)]
-    core, core_maps = gp.induce(keep)
-    if t - 1 == 0:
-        inner = []
-    else:
-        core_assignment = extremal.is_exact_gamma3(core)
-        if core_assignment is None:
-            return None
-        sw = extremal.witness_from_assignment(core, "gamma3", core_assignment)
-        try:
-            result = extremal.extreme_cover(core, sw, cfg)
-        except WitnessInvalidError:
-            return None
-        if result.kind != "cover":
-            return None
-        inner = [Triangle(*(to_g(c, core_maps[c][tri[c]]) for c in range(3)))
-                 for tri in result.cover.triangles]
-    cover = TriangleCover(tris + inner)
-    if not verify_cover(g, cover, require_perfect=True).ok:
-        return None
-    return cover

@@ -39,20 +39,6 @@ class NotANonEdgeError(TrifactorError):
     """mutate_add_edge target is already an edge or not cross-class."""
 
 
-# -- matching ---------------------------------------------------------------
-
-class MatchingIsPerfectError(TrifactorError):
-    """hall_violator needs a non-left-perfect maximum matching."""
-
-
-class HasPerfectMatchingError(TrifactorError):
-    """detect_theta22 called on a pair that has a perfect matching."""
-
-
-class PreconditionDegreeError(TrifactorError):
-    """A stated minimum-degree precondition does not hold."""
-
-
 # -- exact oracle -----------------------------------------------------------
 
 class BudgetExceededError(TrifactorError):
@@ -60,6 +46,10 @@ class BudgetExceededError(TrifactorError):
 
 
 # -- cover solver -----------------------------------------------------------
+
+class PreconditionDegreeError(TrifactorError):
+    """A stated minimum-degree precondition does not hold."""
+
 
 class InternalHallFailureError(TrifactorError):
     """A matching that is guaranteed by the degree hypothesis was not found.

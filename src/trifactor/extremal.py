@@ -116,24 +116,27 @@ def witness_from_assignment(g: TripartiteGraph, model: str, assignment: dict
 # ---------------------------------------------------------------------------
 
 
-def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float,
-                     inner: float = 0.25) -> Optional[StructureWitness]:
+THETA32_INNER = Fraction(1, 4)   # anchor threshold, as a fraction of t
+
+
+def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float
+                     ) -> Optional[StructureWitness]:
     """Recover the two-columns-per-class structure of a near-extremal
     triangle-free graph.
 
     Anchored at a vertex w of class 2: the column-0 sets are the
-    anchored_sparse_triple of w at threshold inner*t, resized (resize_set)
-    into [(1-eps)t, (1+eps)t] with complements in the same band.  All six
-    same-column densities of the result must certify below delta.  Raises
-    NotTriangleFreeError when no anchor certifies and the graph does
-    contain a triangle.
+    anchored_sparse_triple of w at threshold THETA32_INNER*t, resized
+    (resize_set) into [(1-eps)t, (1+eps)t] with complements in the same
+    band.  All six same-column densities of the result must certify below
+    delta.  Raises NotTriangleFreeError when no anchor certifies and the
+    graph does contain a triangle.
     """
     n = h.n
     lo_cls = 2 * (Fraction(1) - as_fraction(eps)) * t
     hi_cls = 2 * (Fraction(1) + as_fraction(eps)) * t
     if not lo_cls <= n <= hi_cls:
         raise SizeOutOfRangeError(f"class size {n} outside [{lo_cls}, {hi_cls}]")
-    thr = max(1, ceil_frac(as_fraction(inner) * t))
+    thr = max(1, ceil_frac(THETA32_INNER * t))
     full = (1 << n) - 1
     cap = as_fraction(delta)
 
@@ -260,9 +263,11 @@ def classify_extreme_partition(g: TripartiteGraph, witness: ExtremeWitness,
 # ---------------------------------------------------------------------------
 
 
+PARTNER_BAND = (Fraction(1, 4), Fraction(3, 4))   # sparse / dense partners
+
+
 def discriminate_gamma_vs_theta(g: TripartiteGraph, ep: ExtremePartition,
-                                delta: float = 0.05, band: tuple = (0.25, 0.75)
-                                ) -> Optional[StructureWitness]:
+                                delta: float = 0.05) -> Optional[StructureWitness]:
     """Decide whether the remainder blocks of the three class pairs coincide
     (gamma3) or cross (theta33); None is the inconclusive middle band.
 
@@ -274,9 +279,10 @@ def discriminate_gamma_vs_theta(g: TripartiteGraph, ep: ExtremePartition,
     are each re-read as the vertices with most of their remainder edges
     into the other, until they stop changing; the class-2 partner of the
     class-0 half is read the same way.  The class-1 and class-2 partners
-    are dense to each other (density >= band[1]) in gamma3, where all three
-    are column 1, and sparse (<= band[0]) in theta33, where they share the
-    column opposite the class-0 half.  The witness must certify below delta.
+    are dense to each other (density >= PARTNER_BAND[1]) in gamma3, where
+    all three are column 1, and sparse (<= PARTNER_BAND[0]) in theta33,
+    where they share the column opposite the class-0 half.  The witness
+    must certify below delta.
     """
     full = (1 << g.n) - 1
     rem = [full ^ ep.a_prime[c] for c in range(3)]
@@ -303,10 +309,10 @@ def discriminate_gamma_vs_theta(g: TripartiteGraph, ep: ExtremePartition,
     if not all(m and m != rem[c] for c, m in enumerate(halves)):
         return None
     d = g.density_masks(1, p1, 2, p2)
-    lo, hi = band
-    if d >= as_fraction(hi):
+    lo, hi = PARTNER_BAND
+    if d >= hi:
         model = GAMMA3
-    elif d <= as_fraction(lo):
+    elif d <= lo:
         model = THETA33
     else:
         return None
@@ -325,71 +331,6 @@ def discriminate_gamma_vs_theta(g: TripartiteGraph, ep: ExtremePartition,
     if sw.max_nonedge_density > as_fraction(delta):
         return None
     return sw
-
-
-# ---------------------------------------------------------------------------
-# reachability chains
-# ---------------------------------------------------------------------------
-
-
-def _common(t1: Triangle, t2: Triangle) -> int:
-    return sum(1 for c in range(3) if t1[c] == t2[c])
-
-
-def reachable(g: TripartiteGraph, x, y) -> Optional[list]:
-    """Chain of 2 or 4 triangles witnessing same-class reachability.
-
-    Consecutive odd/even triangles share an edge; the middle pair of a
-    4-chain shares exactly one vertex.  None means no chain exists.
-    """
-    cx, ix = x
-    cy, iy = y
-    if cx != cy:
-        raise ValueError("reachability is defined for same-class vertices")
-    if ix == iy:
-        return []
-    tris = list(g.iter_triangles())
-    starts = [t for t in tris if t[cx] == ix]
-    ends = [t for t in tris if t[cy] == iy]
-    end_set = set(ends)
-
-    for t1 in starts:
-        for t2 in tris:
-            if _common(t1, t2) == 2 and t2 in end_set:
-                return [t1, t2]
-    # k = 2: T1 -edge- T2 -vertex- T3 -edge- T4
-    layer2 = {}
-    for t1 in starts:
-        for t2 in tris:
-            if _common(t1, t2) == 2 and t2 not in layer2:
-                layer2[t2] = t1
-    layer3 = {}
-    for t2, t1 in layer2.items():
-        for t3 in tris:
-            if _common(t2, t3) == 1 and t3 not in layer3:
-                layer3[t3] = (t1, t2)
-    for t3, (t1, t2) in layer3.items():
-        for t4 in ends:
-            if _common(t3, t4) == 2:
-                return [t1, t2, t3, t4]
-    return None
-
-
-def chain_is_valid(chain: list, x, y) -> bool:
-    """Structural check of the shared-edge / shared-vertex alternation."""
-    if not chain:
-        return x == y
-    if len(chain) not in (2, 4):
-        return False
-    cx, ix = x
-    if chain[0][cx] != ix or chain[-1][cx] != y[1]:
-        return False
-    for i in range(0, len(chain), 2):
-        if _common(chain[i], chain[i + 1]) != 2:
-            return False
-    if len(chain) == 4 and _common(chain[1], chain[2]) != 1:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +557,11 @@ class _Colored:
         self.partner = partner
 
 
-def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
-                  eta: float = 0.25, exchange_cap_frac: float = 0.05
+ETA = Fraction(1, 4)                 # atypicality threshold, as a fraction of t
+EXCHANGE_CAP_FRAC = Fraction(1, 20)  # forced exchanges per cluster, likewise
+
+
+def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config
                   ) -> ExtremeCoverResult:
     """Perfect cover of an approximately-gamma3/theta33 graph, or the
     exact-odd-gamma verdict.  Raises WitnessInvalidError whenever a step
@@ -636,7 +580,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
 
     # a lone stray edge into a sparse partner cannot break any completion,
     # so the atypicality threshold never drops below 2
-    eta_t = max(2, ceil_frac(as_fraction(eta) * t))
+    eta_t = max(2, ceil_frac(ETA * t))
     colored: dict = {}
 
     def is_typical(c: int, i: int, j: int) -> bool:
@@ -723,7 +667,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config,
     # halving into labeled pieces
     rng = random.Random(f"extreme-cover:{cfg.seed}")
     half = t_star // 2
-    cap = max(1, floor_frac(as_fraction(exchange_cap_frac) * t))
+    cap = max(1, floor_frac(EXCHANGE_CAP_FRAC * t))
     pieces: dict = {lab: {} for lab in _labels(sw.model)}
     for c in range(3):
         for j in range(3):
@@ -934,65 +878,3 @@ def _cover_label(g: TripartiteGraph, model, lab, piece, colored) -> list[Triangl
     out.extend(sub.triangles)
     return out
 
-
-# ---------------------------------------------------------------------------
-# exact gamma3 recognition
-# ---------------------------------------------------------------------------
-
-
-def is_exact_gamma3(g: TripartiteGraph) -> Optional[dict]:
-    """Assignment (class, index) -> (class, column) when g is exactly a
-    gamma3 blow-up, else None."""
-    n = g.n
-    if n % 3 or n == 0:
-        return None
-    t = n // 3
-    for c in range(3):
-        for cp in range(3):
-            if c != cp:
-                for i in range(n):
-                    if g.nbr_mask(c, i, cp).bit_count() != 2 * t:
-                        return None
-    groups = []
-    for c in range(3):
-        others = [cp for cp in range(3) if cp != c]
-        byrow: dict = {}
-        for i in range(n):
-            key = tuple(g.nbr_mask(c, i, cp) for cp in others)
-            byrow.setdefault(key, []).append(i)
-        if len(byrow) != 3 or any(len(v) != t for v in byrow.values()):
-            return None
-        groups.append(list(byrow.values()))
-
-    def edge_allowed(ja: int, jb: int) -> bool:
-        return not model_sparse(GAMMA3, ja, jb)
-
-    for perms in itertools.product(itertools.permutations(range(3)), repeat=3):
-        cols = [[0, 0, 0] for _ in range(3)]
-        for c in range(3):
-            for gi, col in enumerate(perms[c]):
-                cols[c][col] = mask_of(groups[c][gi])
-        ok = True
-        for ca in range(3):
-            for cb in range(3):
-                if ca == cb or not ok:
-                    continue
-                for ja in range(3):
-                    expected = 0
-                    for jb in range(3):
-                        if edge_allowed(ja, jb):
-                            expected |= cols[cb][jb]
-                    for i in iter_bits(cols[ca][ja]):
-                        if g.nbr_mask(ca, i, cb) != expected:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-        if ok:
-            assignment = {}
-            for c in range(3):
-                for j in range(3):
-                    for i in iter_bits(cols[c][j]):
-                        assignment[(c, i)] = (c, j)
-            return assignment
-    return None

@@ -74,19 +74,6 @@ def brute_max_matching_size(left, right, adj):
     return rec(0, frozenset())
 
 
-def brute_max_deficiency(left, adj):
-    """max over X of |X| - |N(X)| via all subsets."""
-    best = 0
-    left = list(left)
-    for r in range(len(left) + 1):
-        for xs in itertools.combinations(left, r):
-            nbrs = set()
-            for u in xs:
-                nbrs.update(adj(u))
-            best = max(best, len(xs) - len(nbrs))
-    return best
-
-
 @pytest.fixture
 def cfg():
     from trifactor.config import Config

@@ -487,6 +487,64 @@ def test_solve_passes_budget_and_mode_on_extreme_path(monkeypatch):
     assert budgets == []
 
 
+def test_extreme_path_passes_delta0_to_partition(monkeypatch):
+    # Config.delta0 sets the A'/B' size bands, Delta_1 = 4*delta0/(1-theta)
+    import trifactor.extremal as extremal
+
+    seen = []
+    real = extremal.classify_extreme_partition
+
+    def spy(g, witness, *args, **kw):
+        seen.append(args + tuple(kw.values()))
+        return real(g, witness, *args, **kw)
+
+    monkeypatch.setattr(extremal, "classify_extreme_partition", spy)
+    solve(blocked_theta_pads(6, 3), Config(eps_prime=0.08, delta0=0.04))
+    assert seen == [(0.8, 0.04)]
+
+
+def padded_gamma3(t, k):
+    """gamma3(t) shifted up by k, with k vertices per class at indices
+    0..k-1 adjacent to every vertex of the other classes: reduce_mod3's
+    index tie-break peels exactly those, leaving gamma3(t)."""
+    base = gamma3(t)
+    n = base.n + k
+    edges = [((u.class_id, u.index + k), (v.class_id, v.index + k))
+             for u, v in base.edges()]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for i in range(k):
+                for j in range(n):
+                    edges.append(((a, i), (b, j)))
+                    if j >= k:
+                        edges.append(((a, j), (b, i)))
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("t", [3, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_reduced_nofactor_sends_whole_graph_to_oracle(t, k, monkeypatch):
+    # the reduced graph is the odd gamma3(t), which the oracle calls
+    # NoFactor; the whole graph, within exact_limit + 2, goes to the oracle
+    budgets = _spy_oracle(monkeypatch)
+    g = padded_gamma3(t, k)
+    assert g.min_cross_degree() >= -(-2 * g.n // 3)
+    out = solve(g, Config(), budget=10 ** 6)
+    assert (out.kind, out.source) == ("cover", "exact-fallback")
+    assert verify_cover(g, out.cover, require_perfect=True).ok
+    assert budgets == [(3 * t, 10 ** 6), (g.n, 10 ** 6)]
+
+
+def test_reduced_odd_gamma3_above_exact_limit_stays_indeterminate(monkeypatch):
+    # gamma3(7) is above the default exact_limit, so the reduced solve
+    # ends stuck and neither it nor the whole graph reaches the oracle
+    sizes = _spy_oracle(monkeypatch)
+    g = padded_gamma3(7, 1)
+    out = solve(g, Config())
+    assert (out.kind, out.reason) == ("indeterminate", "n-not-divisible-by-3")
+    assert all(m <= Config().exact_limit for m, _ in sizes)
+
+
 # -- endgame -----------------------------------------------------------------
 
 

@@ -17,14 +17,11 @@ from trifactor.exact import NO_FACTOR, exact_factor
 from trifactor.extremal import (
     GAMMA_EXACT,
     balanced_random_split,
-    chain_is_valid,
     classify_extreme_partition,
     classify_theta32,
     discriminate_gamma_vs_theta,
     extreme_cover,
     find_parity_triangles,
-    is_exact_gamma3,
-    reachable,
     witness_from_assignment,
 )
 from trifactor.families import (
@@ -236,41 +233,6 @@ def test_discriminate_never_mislabels_noisy_blowups():
                     assert sw is None or sw.model == want, (t, noise, want, seed)
 
 
-# -- reachable ------------------------------------------------------------------
-
-
-def test_reachable_same_vertex():
-    assert reachable(complete_tripartite(2), (0, 0), (0, 0)) == []
-
-
-def test_reachable_k333_short_chain():
-    g = complete_tripartite(3)
-    for i, j in ((0, 1), (1, 2), (0, 2)):
-        for c in range(3):
-            chain = reachable(g, (c, i), (c, j))
-            assert chain is not None and len(chain) == 2
-            assert chain_is_valid(chain, (c, i), (c, j))
-
-
-def test_reachable_gamma3_fixture():
-    # frozen verdict: the column-0 and column-1 vertices of class 0 are
-    # connected by a two-triangle chain through the column-1 transversal
-    g = gamma3(1)
-    chain = reachable(g, (0, 0), (0, 1))
-    assert chain is not None and len(chain) == 2
-    assert chain_is_valid(chain, (0, 0), (0, 1))
-
-
-def test_reachable_triangle_free():
-    g = theta32(2)
-    assert reachable(g, (0, 0), (0, 1)) is None
-
-
-def test_reachable_requires_same_class():
-    with pytest.raises(ValueError):
-        reachable(complete_tripartite(2), (0, 0), (1, 0))
-
-
 # -- parity triangles ------------------------------------------------------------
 
 
@@ -412,23 +374,3 @@ def test_extreme_cover_rejects_bad_model():
     sw = witness_from_assignment(g, "theta32", planted_assignment(lambda: gen_theta(3, 2), 2))
     with pytest.raises(WitnessInvalidError):
         extreme_cover(g, sw, Config())
-
-
-# -- exact gamma recognition ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_is_exact_gamma3(t):
-    asn = is_exact_gamma3(gamma3(t))
-    assert asn is not None
-    # column masses are t each
-    from collections import Counter
-    per = Counter(v for v in asn.values())
-    assert all(ct == t for ct in per.values())
-
-
-def test_is_exact_gamma3_negative():
-    assert is_exact_gamma3(complete_tripartite(3)) is None
-    assert is_exact_gamma3(theta33(2)) is None
-    g = mutate_add_edge(gamma3(2), (0, 0), (1, 0))
-    assert is_exact_gamma3(g) is None

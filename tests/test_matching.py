@@ -1,28 +1,13 @@
-"""Matching: Hopcroft-Karp vs brute force, Hall violators, theta22 detection."""
+"""Matching: Hopcroft-Karp vs brute force."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifactor.errors import (
-    HasPerfectMatchingError,
-    InternalError,
-    MatchingIsPerfectError,
-    PreconditionDegreeError,
-)
-from trifactor.matching import (
-    BipartiteView,
-    MatchingResult,
-    detect_theta22,
-    hall_violator,
-    max_matching,
-    neighborhood,
-    pair_density,
-)
+from trifactor.matching import BipartiteView, max_matching
 
-from conftest import brute_max_deficiency, brute_max_matching_size
+from conftest import brute_max_matching_size
 
 
 def view_from_dict(adj, right_size):
@@ -90,120 +75,6 @@ def test_max_matching_equals_bruteforce(pairs):
     assert len(mr.pairs) + len(mr.unmatched_left) == len(bv.left)
     rs = [v for _, v in mr.pairs]
     assert len(set(rs)) == len(rs)
-
-
-@settings(max_examples=80, deadline=None)
-@given(bip)
-def test_hall_violator_and_konig_duality(pairs):
-    adj = {i: sorted({j for (x, j) in pairs if x == i}) for i in range(6)}
-    bv = view_from_dict(adj, 6)
-    mr = max_matching(bv)
-    if mr.left_perfect:
-        with pytest.raises(MatchingIsPerfectError):
-            hall_violator(bv, mr)
-        return
-    x = hall_violator(bv, mr)
-    nx = neighborhood(bv, x)
-    assert len(nx) < len(x)
-    # Konig-Egervary: max matching = |L| - max deficiency
-    deficiency = brute_max_deficiency(bv.left, lambda u: bv.neighbors(u))
-    assert mr.size == len(bv.left) - deficiency
-    # the returned violator achieves the maximum deficiency
-    assert len(x) - len(nx) == deficiency
-
-
-def test_hall_violator_two_left_one_right():
-    adj = {0: [0], 1: [0]}
-    bv = view_from_dict(adj, 1)
-    mr = max_matching(bv)
-    x = hall_violator(bv, mr)
-    assert set(x) == {0, 1}
-    assert len(neighborhood(bv, x)) == 1
-
-
-def test_hall_violator_gate_rejects_non_maximum_matching():
-    # from the empty matching of K_{2,2} the alternating search ends at a
-    # set with no deficiency; the gate raises InternalError, not an assert
-    bv = view_from_dict({0: [0, 1], 1: [0, 1]}, 2)
-    with pytest.raises(InternalError, match="no deficiency"):
-        hall_violator(bv, MatchingResult((), (0, 1)))
-
-
-def test_hall_violator_isolated_vertex():
-    adj = {0: [], 1: [0, 1]}
-    bv = view_from_dict(adj, 2)
-    mr = max_matching(bv)
-    x = hall_violator(bv, mr)
-    assert 0 in x
-
-
-def blocks_graph(sa, sb, noise_pairs=()):
-    """Two parallel complete blocks L1xR1 (|L1|=sa, |R1|=sb), complement
-    sizes swapped, plus optional extra noise edges."""
-    m = sa + sb
-    adj = {i: [] for i in range(m)}
-    for i in range(sa):
-        adj[i] = list(range(sb))                 # L1 -> R1
-    for i in range(sa, m):
-        adj[i] = list(range(sb, m))              # L2 -> R2
-    for u, v in noise_pairs:
-        if v not in adj[u]:
-            adj[u].append(v)
-    return view_from_dict(adj, m)
-
-
-def test_detect_theta22_exact_blocks():
-    # |L1| = 4 complete to |R1| = 3: no perfect matching, both sparse pairs void
-    bv = blocks_graph(4, 3)
-    w = detect_theta22(bv, eps=0.25, delta=0.05)
-    assert w is not None
-    assert w.d_ab == 0 and w.d_ba == 0
-    halves = (set(w.left_a), set(w.left_b))
-    assert {frozenset(h) for h in halves} == {
-        frozenset(range(4)), frozenset(range(4, 7))}
-
-
-def test_detect_theta22_perturbed():
-    # deficiency 2 blocks: |L1| = 5 complete to |R1| = 3, so one noise edge
-    # into the sparse L1 x R2 pair cannot restore a perfect matching
-    rng = random.Random(9)
-    delta = 0.1
-    noise = [(rng.randrange(5), 3 + rng.randrange(5))]
-    bv = blocks_graph(5, 3, noise)
-    mr = max_matching(bv)
-    assert not mr.left_perfect
-    w = detect_theta22(bv, eps=0.3, delta=2 * delta)
-    assert w is not None
-    assert max(w.d_ab, w.d_ba) <= 2 * delta
-
-
-def test_detect_theta22_complete_raises():
-    adj = {i: list(range(4)) for i in range(4)}
-    with pytest.raises(HasPerfectMatchingError):
-        detect_theta22(view_from_dict(adj, 4), 0.25, 0.05)
-
-
-def test_detect_theta22_degree_precondition():
-    adj = {0: [0], 1: [0], 2: [0], 3: [0]}
-    with pytest.raises(PreconditionDegreeError):
-        detect_theta22(view_from_dict(adj, 4), 0.1, 0.05)
-
-
-def test_detect_theta22_self_certifies():
-    # a dense sparse-pair must yield None: flood L1 x R2 of a deficiency-2
-    # instance with edges toward a single right vertex so the deficiency
-    # persists but the recorded density would exceed delta
-    bv = blocks_graph(5, 3, noise_pairs=[(i, 3) for i in range(5)])
-    mr = max_matching(bv)
-    assert not mr.left_perfect
-    w = detect_theta22(bv, eps=0.3, delta=0.05)
-    assert w is None or max(w.d_ab, w.d_ba) <= 0.05
-
-
-def test_pair_density():
-    bv = blocks_graph(2, 2)
-    assert pair_density(bv, [0, 1], [("r", 0), ("r", 1)]) == 1
-    assert pair_density(bv, [0, 1], [("r", 2), ("r", 3)]) == 0
 
 
 def test_max_matching_oracle_ten_by_ten():

@@ -1,7 +1,9 @@
-"""Source checks: soundness gates must survive python -O, and the package
-holds no private helper that nothing calls."""
+"""Source checks: soundness gates must survive python -O, the package
+holds no private helper that nothing calls, and every entry point the
+bench tracer wraps exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -53,3 +55,29 @@ def test_no_unreferenced_private_definitions():
              and node.name.startswith("_") and not node.name.startswith("__")
              and uses[node.name] == Counter(_names(node))[node.name]]
     assert found == []
+
+
+def test_bench_tracer_entry_points_resolve(monkeypatch):
+    # the traced bench run wraps these names; a deleted one would crash it
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    tracer = importlib.import_module("tracer")
+
+    def lookup():
+        out = {}
+        for module, owner, attr, _, _ in tracer.ENTRY_POINTS:
+            target = importlib.import_module(module)
+            if owner:
+                target = getattr(target, owner)
+            out[(module, owner, attr)] = getattr(target, attr)
+        return out
+
+    before = lookup()
+    assert all(callable(fn) for fn in before.values())
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(fn is not before[key] for key, fn in lookup().items())
+    finally:
+        t.uninstall()
+    after = lookup()
+    assert all(after[key] is fn for key, fn in before.items())
