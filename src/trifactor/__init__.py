@@ -47,11 +47,7 @@ from .graph import (
     density,
     verify_cover,
 )
-from .matching import (
-    BipartiteView,
-    MatchingResult,
-    max_matching,
-)
+from .matching import max_matching
 from .extremal import (
     GAMMA_EXACT,
     ExtremeCoverResult,

@@ -4,9 +4,11 @@ Five layers, from cheap to expensive:
 
 * easy_cover - at min cross-degree >= ceil(3N/4) a perfect cover always
   exists: take a perfect matching between classes 1 and 2 (degrees are
-  above N/2), then match class 0 against the matched edges; a vertex is
-  adjacent to an edge when it is adjacent to both endpoints.  Both
-  matchings are guaranteed by the Konig-Hall degree corollary.
+  above N/2), then match the matched edges against class 0; an edge
+  (i, j) is adjacent to the class-0 vertices in the AND of the two
+  endpoints' rows.  Both matchings are guaranteed by the Konig-Hall
+  degree corollary, and both run on bitmask rows through max_matching.
+  The cover passes the same verify_cover gate as every other source.
 
 * greedy_partial_cover - randomized maximal initializer.
 
@@ -64,7 +66,7 @@ from .graph import (
     mask_of,
     verify_cover,
 )
-from .matching import BipartiteView, max_matching
+from .matching import max_matching
 
 MAX_REPLACED = 15  # hard cap on |T \ T0| per augmentation step
 
@@ -83,7 +85,7 @@ def _check_cover(g: TripartiteGraph, cover: TriangleCover, what: str,
 
 
 def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None) -> TriangleCover:
-    """Perfect cover under min cross-degree >= ceil(3N/4)."""
+    """Perfect cover under min cross-degree >= ceil(3N/4), verified."""
     n = g.n
     need = ceil_frac(Fraction(3 * n, 4))
     if g.min_cross_degree() < need:
@@ -93,39 +95,30 @@ def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None) -> TriangleCove
     cover = match_triple_cover(g, full, full, full)
     if cover is None:
         raise InternalHallFailureError("guaranteed matching not found")
+    _check_cover(g, cover, "easy cover", require_perfect=True)
     return cover
 
 
 def match_triple_cover(g: TripartiteGraph, m0: int, m1: int, m2: int
                        ) -> Optional[TriangleCover]:
     """Double-matching cover of the induced triple, or None if some matching
-    is imperfect.  Sizes of the three masks must agree."""
+    is imperfect.  Sizes of the three masks must agree.
+
+    Class 1 is matched into class 2, then each matched edge (i, j) into
+    the class-0 vertices adjacent to both of its ends; the triangles come
+    in class-0 order."""
     l1 = list(iter_bits(m1))
-    l2 = list(iter_bits(m2))
-    l0 = list(iter_bits(m0))
-    if not (len(l0) == len(l1) == len(l2)):
+    if not (m0.bit_count() == len(l1) == m2.bit_count()):
         raise ValueError("masks must have equal sizes")
-    if not l0:
-        return TriangleCover([])
-
-    bv12 = BipartiteView(l1, l2, lambda i: iter_bits(g.nbr_mask(1, i, 2) & m2))
-    mr = max_matching(bv12)
-    if not mr.left_perfect:
+    r12, r10, r20 = g._rows[(1, 2)], g._rows[(1, 0)], g._rows[(2, 0)]
+    mate12 = max_matching([r12[i] & m2 for i in l1])
+    if -1 in mate12:
         return None
-    edge_list = list(mr.pairs)
-
-    def edge_nbrs(v0):
-        row1 = g.nbr_mask(0, v0, 1)
-        row2 = g.nbr_mask(0, v0, 2)
-        return [k for k, (i, j) in enumerate(edge_list)
-                if row1 >> i & 1 and row2 >> j & 1]
-
-    bv0e = BipartiteView(l0, range(len(edge_list)), edge_nbrs)
-    mr2 = max_matching(bv0e)
-    if not mr2.left_perfect:
+    mate0 = max_matching([r10[i] & r20[j] & m0 for i, j in zip(l1, mate12)])
+    if -1 in mate0:
         return None
-    tris = [Triangle(v0, *edge_list[k]) for v0, k in mr2.pairs]
-    return TriangleCover(tris)
+    return TriangleCover(sorted(Triangle(v0, i, j)
+                                for v0, i, j in zip(mate0, l1, mate12)))
 
 
 # ---------------------------------------------------------------------------

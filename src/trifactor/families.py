@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .config import ceil_frac, floor_frac
-from .errors import NotANonEdgeError
-from .graph import TripartiteGraph, VertexRef, build_graph, iter_bits
+from .errors import IndexOutOfRangeError, NotANonEdgeError, WithinClassEdgeError
+from .graph import TripartiteGraph, VertexRef, iter_bits
 
 
 Vertex = tuple[int, int]  # (class_id, index within class)
@@ -41,13 +41,22 @@ class MultiClassGraph:
         return len(self.sizes)
 
     def to_tripartite(self) -> TripartiteGraph:
+        """The same graph as a TripartiteGraph, each edge ORed into its rows."""
         if self.num_classes != 3 or len(set(self.sizes)) != 1:
             raise ValueError("not a balanced 3-class graph")
-        pairs = []
-        for e in self.edges:
-            u, v = sorted(e)
-            pairs.append((VertexRef(*u), VertexRef(*v)))
-        return build_graph(self.sizes[0], pairs)
+        n = self.sizes[0]
+        if n <= 0:
+            raise IndexOutOfRangeError("n_per_class must be positive")
+        g = TripartiteGraph.empty(n)
+        rows = g._rows
+        for (cu, iu), (cv, iv) in self.edges:
+            if not (0 <= iu < n and 0 <= iv < n and (cu, cv) in rows):
+                if cu == cv:
+                    raise WithinClassEdgeError(f"edge within class {cu}")
+                raise IndexOutOfRangeError(f"edge {(cu, iu)}-{(cv, iv)} out of range")
+            rows[(cu, cv)][iu] |= 1 << iv
+            rows[(cv, cu)][iv] |= 1 << iu
+        return g
 
 
 def gen_theta(m: int, n: int) -> MultiClassGraph:

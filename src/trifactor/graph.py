@@ -331,17 +331,29 @@ def verify_cover(g: TripartiteGraph, cover: TriangleCover,
 
     Rejection reports the first violated condition and offending triangle.
     """
-    masks = [0, 0, 0]
+    n = g.n
+    r01, r02, r12 = g._rows[(0, 1)], g._rows[(0, 2)], g._rows[(1, 2)]
+    seen0, seen1, seen2 = bytearray(n), bytearray(n), bytearray(n)
+    # per vertex in class order: index range, then disjointness; then edges
     for t in cover.triangles:
-        for c, i in enumerate(t):
-            if not 0 <= i < g.n:
-                return CoverVerdict(False, "index-out-of-range", t)
-            bit = 1 << i
-            if masks[c] & bit:
-                return CoverVerdict(False, "not-disjoint", t)
-            masks[c] |= bit
-        if not g.triangle_exists(t):
+        i0, i1, i2 = t
+        if not 0 <= i0 < n:
+            return CoverVerdict(False, "index-out-of-range", t)
+        if seen0[i0]:
+            return CoverVerdict(False, "not-disjoint", t)
+        seen0[i0] = 1
+        if not 0 <= i1 < n:
+            return CoverVerdict(False, "index-out-of-range", t)
+        if seen1[i1]:
+            return CoverVerdict(False, "not-disjoint", t)
+        seen1[i1] = 1
+        if not 0 <= i2 < n:
+            return CoverVerdict(False, "index-out-of-range", t)
+        if seen2[i2]:
+            return CoverVerdict(False, "not-disjoint", t)
+        seen2[i2] = 1
+        if not ((r01[i0] >> i1) & (r02[i0] >> i2) & (r12[i1] >> i2) & 1):
             return CoverVerdict(False, "missing-edge", t)
-    if require_perfect and len(cover.triangles) != g.n:
+    if require_perfect and len(cover.triangles) != n:
         return CoverVerdict(False, "not-spanning", None)
     return CoverVerdict(True)

@@ -99,6 +99,19 @@ def test_easy_cover_gate():
         easy_cover(g)
 
 
+def test_easy_cover_gate_raises_internal_error(monkeypatch):
+    # a matcher that pairs i with i: on K_8 minus the 1-2 matching {i-i}
+    # every triangle (i, i, i) misses its 1-2 edge, and the gate catches it
+    g = build_graph(8, all_cross_edges(8, skip=lambda a, b, i, j:
+                                       (a, b) == (1, 2) and i == j))
+    monkeypatch.setattr(trifactor.cover, "max_matching",
+                        lambda rows: list(range(len(rows))))
+    with pytest.raises(InternalError, match="easy cover"):
+        easy_cover(g)
+    with pytest.raises(InternalError, match="easy cover"):
+        solve(g)
+
+
 @pytest.mark.parametrize("n", [8, 12, 16])
 @pytest.mark.parametrize("seed", range(5))
 def test_easy_cover_random(n, seed):
@@ -402,10 +415,11 @@ def test_soundness_gate_raises_under_optimize(monkeypatch):
         solve(g, Config(seed=0))
 
 
-def test_reduction_swap_on_augmented_gamma():
-    """A gamma3(3) blow-up plus one universal vertex per class: the removed
-    triangle is forced through the universal vertices whenever the reduced
-    graph must be the exceptional odd gamma."""
+def test_reduction_covers_gamma3_plus_universal_vertices():
+    """gamma3(3) plus one universal vertex per class (N = 10): reduce_mod3
+    peels a triangle of the gamma3 part and keeps the universal vertices,
+    so the reduced graph is not the odd gamma3 and has a factor, and the
+    cover comes from the reduction path."""
     base = gamma3(3)
     n = base.n + 1
     edges = [((u.class_id, u.index), (v.class_id, v.index))
@@ -419,8 +433,9 @@ def test_reduction_swap_on_augmented_gamma():
                         edges.append(((a, j), (b, base.n)))
     g = build_graph(n, edges)
     assert g.min_cross_degree() >= -(-2 * n // 3)
+    assert all(base.n not in t for t in reduce_mod3(g).removed)
     out = solve(g)
-    assert out.kind == "cover"
+    assert (out.kind, out.source) == ("cover", "reduction")
     assert verify_cover(g, out.cover, require_perfect=True).ok
 
 

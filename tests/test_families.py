@@ -1,5 +1,6 @@
 """Generators: grid families, blow-ups, perturbations, random instances."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifactor.errors import NotANonEdgeError
+from trifactor.errors import IndexOutOfRangeError, NotANonEdgeError, WithinClassEdgeError
 from trifactor.exact import COVER, exact_factor, has_factor
 from trifactor.families import (
     approx_blow_up,
@@ -23,6 +24,7 @@ from trifactor.families import (
     theta33,
 )
 from trifactor.config import ceil_frac
+from trifactor.io import serialize_graph
 from trifactor.graph import (
     Triangle,
     TriangleCover,
@@ -280,3 +282,57 @@ def small_bases(draw):
 @given(small_bases(), st.integers(1, 4))
 def test_blow_up_of_tripartite_matches_multiclass_route(g, t):
     assert blow_up(g, t) == reference_blow_up(g, t)
+
+
+def test_to_tripartite_checks_shape_and_ranges():
+    from trifactor.families import MultiClassGraph
+
+    with pytest.raises(ValueError):
+        MultiClassGraph([2, 3, 2], set()).to_tripartite()
+    with pytest.raises(ValueError):
+        MultiClassGraph([2, 2], set()).to_tripartite()
+    for bad in (((0, 0), (1, 2)), ((0, -1), (2, 0)), ((0, 0), (3, 1))):
+        with pytest.raises(IndexOutOfRangeError):
+            MultiClassGraph([2, 2, 2], {frozenset(bad)}).to_tripartite()
+    with pytest.raises(IndexOutOfRangeError):
+        MultiClassGraph([0, 0, 0], set()).to_tripartite()
+    with pytest.raises(WithinClassEdgeError):
+        MultiClassGraph([2, 2, 2], {frozenset(((1, 0), (1, 1)))}).to_tripartite()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# sha256 of the generators' output, taken before the generators were last
+# rewritten: a refactor must not change the bench's instances
+PINNED = {
+    ("random", 16, 2 / 3, 1): "1e2b45a520e9f1a97bd7123172777c06a0df839d236899ebed314f22fe587ff6",
+    ("random", 16, 2 / 3, 2): "b4a325686a087baa2d89634d9473aabc4bc40985c417de60d800e80db8476686",
+    ("random", 22, 0.7, 1): "fd73b3f8ef72be8d8b233469055b9ae33aafe5e3b992ec68beaa8843be17f06b",
+    ("random", 22, 0.7, 2): "fb83ce2dea0237ee3d228f12a398360a31a204b25cf0b5148ccae82231b13975",
+    ("random", 105, 0.8, 1): "1ef8d7f8c30ae5eb011bc03c5a573ffc54f2b05cfabe4cfbb70e038013d522ed",
+    ("random", 105, 0.8, 2): "2034cf8dad45ae2561ee431a6601e37b79ddaaad565dc53b43a80122b4489328",
+    ("gamma3", 7): "c1518e2e0c8ff24f0bb74b33e901595f63549c43757210a98888c11f021162a2",
+    ("theta33", 6): "da51340d84571df1e5564c3d214976f39d05e40d427cd1ba68a4920612ecbac6",
+    ("approx", 1): "f532cbb75d73410d78ddfd5d6414f0ca6f4b327240f8149fc7dd4a9ff74912a3",
+    ("approx", 2): "076a2055a1a19b7d5c3e1df233cfd67f61fba9842b1a56cfd8725b93cfe637b9",
+}
+
+
+def test_generator_outputs_are_pinned():
+    got = {}
+    for key in PINNED:
+        if key[0] == "random":
+            _, n, f, seed = key
+            got[key] = _sha(serialize_graph(gen_random_min_degree(n, f, seed)))
+        elif key[0] == "gamma3":
+            got[key] = _sha(serialize_graph(gamma3(key[1])))
+        elif key[0] == "theta33":
+            got[key] = _sha(serialize_graph(theta33(key[1])))
+        else:
+            res = approx_blow_up(gen_gamma(3), 5, 0.0, 0.01, key[1])
+            got[key] = _sha(serialize_graph(res.graph)
+                            + repr(sorted(res.assignment.items()))
+                            + repr(sorted(res.nonedge_densities.items())))
+    assert got == PINNED

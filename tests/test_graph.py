@@ -155,6 +155,85 @@ def test_verify_cover_gamma3_not_spanning():
     assert not verdict.ok and verdict.reason == "not-spanning"
 
 
+def raw_cover(tris):
+    """A cover that dodges TriangleCover's disjointness and index checks."""
+    c = TriangleCover.__new__(TriangleCover)
+    c.triangles = tuple(Triangle(*t) for t in tris)
+    c.covered = (0, 0, 0)
+    return c
+
+
+def test_verify_cover_rejects_index_out_of_range():
+    g = complete_tripartite(2)
+    for t in ((0, 0, 2), (0, -1, 0), (5, 0, 0)):
+        verdict = verify_cover(g, raw_cover([(1, 1, 1), t]))
+        assert (verdict.ok, verdict.reason, verdict.offender) == \
+            (False, "index-out-of-range", t)
+
+
+# each triangle breaks two rules; the first in per-vertex class order wins
+@pytest.mark.parametrize("tris, reason, offender", [
+    # class 0 repeats before class 1 leaves the range
+    ([(0, 0, 0), (0, 5, 1)], "not-disjoint", (0, 5, 1)),
+    # class 0 leaves the range before class 1 repeats
+    ([(0, 0, 0), (5, 0, 1)], "index-out-of-range", (5, 0, 1)),
+    # class 1 repeats before class 2 leaves the range
+    ([(0, 0, 0), (1, 0, 7)], "not-disjoint", (1, 0, 7)),
+    # class 2 repeats, and the triangle also misses its 1-2 edge
+    ([(0, 0, 0), (1, 1, 0)], "not-disjoint", (1, 1, 0)),
+    # out of range, where no edge could be looked up
+    ([(0, 0, 7)], "index-out-of-range", (0, 0, 7)),
+    # the first bad triangle is reported, not the worst
+    ([(0, 1, 1), (0, 0, 0)], "missing-edge", (0, 1, 1)),
+])
+def test_verify_cover_first_violation(tris, reason, offender):
+    # all edges except 1-2 between (1, 1) and (2, 0) or (2, 1)
+    g = build_graph(2, [e for e in all_cross_pairs(2)
+                        if e[0] != (1, 1) or e[1][0] != 2])
+    verdict = verify_cover(g, raw_cover(tris), require_perfect=True)
+    assert (verdict.ok, verdict.reason, verdict.offender) == (False, reason, offender)
+
+
+def reference_verify(g, tris, require_perfect):
+    """verify_cover's rules, one vertex and one edge query at a time."""
+    seen = [set(), set(), set()]
+    for t in tris:
+        for c, i in enumerate(t):
+            if not 0 <= i < g.n:
+                return "index-out-of-range", t
+            if i in seen[c]:
+                return "not-disjoint", t
+            seen[c].add(i)
+        if not (g.has_edge((0, t[0]), (1, t[1])) and g.has_edge((0, t[0]), (2, t[2]))
+                and g.has_edge((1, t[1]), (2, t[2]))):
+            return "missing-edge", t
+    if require_perfect and len(tris) != g.n:
+        return "not-spanning", None
+    return None, None
+
+
+@st.composite
+def graph_and_raw_triangles(draw):
+    n = draw(st.integers(1, 5))
+    # dense graphs and mostly in-range indices, so that each of the four
+    # violations is often the first one
+    missing = set(draw(st.lists(st.sampled_from(all_cross_pairs(n)), max_size=n)))
+    edges = [e for e in all_cross_pairs(n) if e not in missing]
+    index = st.sampled_from([-1, n] + list(range(n)) * 4)
+    tris = draw(st.lists(st.tuples(index, index, index), max_size=n + 1))
+    return n, edges, tris, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_raw_triangles())
+def test_verify_cover_matches_reference(case):
+    n, edges, tris, perfect = case
+    g = build_graph(n, edges)
+    verdict = verify_cover(g, raw_cover(tris), require_perfect=perfect)
+    reason, offender = reference_verify(g, [Triangle(*t) for t in tris], perfect)
+    assert (verdict.ok, verdict.reason, verdict.offender) == (reason is None, reason, offender)
+
+
 edge_lists = st.lists(
     st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
               st.integers(0, 4), st.integers(0, 4)),
