@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -34,6 +35,15 @@ def floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+@lru_cache(maxsize=8)
+def _degree_floor(eps_prime) -> tuple[int, int]:
+    """2/3 - eps' as (numerator, denominator), with eps' read as an exact
+    rational; cached because parsing the float's text costs microseconds
+    and solve and every augmentation step test the floor."""
+    eps = as_fraction(eps_prime)
+    return 2 * eps.denominator - 3 * eps.numerator, 3 * eps.denominator
+
+
 @dataclass(frozen=True)
 class Config:
     delta0: float = 0.05        # extreme-case pairwise density threshold
@@ -56,9 +66,10 @@ class Config:
     def delta0_frac(self) -> Fraction:
         return as_fraction(self.delta0)
 
-    @property
-    def eps_prime_frac(self) -> Fraction:
-        return as_fraction(self.eps_prime)
+    def meets_degree_floor(self, dmin: int, n: int) -> bool:
+        """dmin >= (2/3 - eps')N, cross-multiplied."""
+        num, den = _degree_floor(self.eps_prime)
+        return den * dmin >= num * n
 
     def with_seed(self, seed: int) -> "Config":
         return replace(self, seed=seed)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .config import Config, ceil_frac
+from .config import Config
 from .errors import (
     InternalError,
     InternalHallFailureError,
@@ -84,13 +84,17 @@ def _check_cover(g: TripartiteGraph, cover: TriangleCover, what: str,
 # ---------------------------------------------------------------------------
 
 
-def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None) -> TriangleCover:
-    """Perfect cover under min cross-degree >= ceil(3N/4), verified."""
+def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None,
+               dmin: Optional[int] = None) -> TriangleCover:
+    """Perfect cover under min cross-degree >= ceil(3N/4), verified.
+
+    dmin is g.min_cross_degree() when the caller already has it."""
     n = g.n
-    need = ceil_frac(Fraction(3 * n, 4))
-    if g.min_cross_degree() < need:
+    if dmin is None:
+        dmin = g.min_cross_degree()
+    if 4 * dmin < 3 * n:
         raise PreconditionDegreeError(
-            f"min cross-degree {g.min_cross_degree()} below ceil(3N/4) = {need}")
+            f"min cross-degree {dmin} below ceil(3N/4) = {-(-3 * n // 4)}")
     full = (1 << n) - 1
     cover = match_triple_cover(g, full, full, full)
     if cover is None:
@@ -117,8 +121,10 @@ def match_triple_cover(g: TripartiteGraph, m0: int, m1: int, m2: int
     mate0 = max_matching([r10[i] & r20[j] & m0 for i, j in zip(l1, mate12)])
     if -1 in mate0:
         return None
-    return TriangleCover(sorted(Triangle(v0, i, j)
-                                for v0, i, j in zip(mate0, l1, mate12)))
+    by_v0 = [None] * g.n
+    for v0, i, j in zip(mate0, l1, mate12):
+        by_v0[v0] = Triangle(v0, i, j)
+    return TriangleCover([t for t in by_v0 if t is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +141,26 @@ def greedy_partial_cover(g: TripartiteGraph, seed: int = 0) -> TriangleCover:
     n = g.n
     order = list(range(n))
     random.Random(f"greedy:{seed}").shuffle(order)
-    full = (1 << n) - 1
-    u1, u2 = full, full
+    r01, r02, r12 = g._rows[(0, 1)], g._rows[(0, 2)], g._rows[(1, 2)]
+    u1 = u2 = (1 << n) - 1
     tris = []
     for v0 in order:
-        row1 = g.nbr_mask(0, v0, 1) & u1
+        row1 = r01[v0] & u1
         if not row1:
             continue
-        base2 = g.nbr_mask(0, v0, 2) & u2
+        base2 = r02[v0] & u2
         if not base2:
             continue
-        for v1 in iter_bits(row1):
-            opts = base2 & g.nbr_mask(1, v1, 2)
+        while row1:
+            low1 = row1 & -row1
+            opts = base2 & r12[low1.bit_length() - 1]
             if opts:
-                v2 = (opts & -opts).bit_length() - 1
-                tris.append(Triangle(v0, v1, v2))
-                u1 &= ~(1 << v1)
-                u2 &= ~(1 << v2)
+                low2 = opts & -opts
+                tris.append(Triangle(v0, low1.bit_length() - 1, low2.bit_length() - 1))
+                u1 ^= low1
+                u2 ^= low2
                 break
+            row1 ^= low1
     return TriangleCover(tris)
 
 
@@ -435,8 +443,7 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
     # the step's "at least 4 uncovered vertices per class" condition
     if cover.size >= n - 3:
         raise PreconditionViolatedError("need at least 4 uncovered vertices per class")
-    floor_frac = Fraction(2, 3) - cfg.eps_prime_frac
-    if g.min_cross_degree() < floor_frac * n:
+    if not cfg.meets_degree_floor(g.min_cross_degree(), n):
         raise PreconditionViolatedError("min cross-degree below (2/3 - eps')N")
 
     work = _Work(g, cover)
@@ -735,11 +742,12 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
     steps: list[AugmentStepRecord] = []
     dmin = g.min_cross_degree()
 
-    if dmin >= ceil_frac(Fraction(3 * n, 4)):
-        return SolveOutcome("cover", cover=easy_cover(g, cfg), source="easy")
+    # dmin >= ceil(3N/4) and dmin >= ceil(2N/3), cross-multiplied
+    if 4 * dmin >= 3 * n:
+        return SolveOutcome("cover", cover=easy_cover(g, cfg, dmin), source="easy")
 
     if n % 3:
-        if dmin >= ceil_frac(Fraction(2 * n, 3)):
+        if 3 * dmin >= 2 * n:
             out = _solve_via_reduction(g, cfg, mode, budget)
             if out is not None:
                 return out
@@ -748,8 +756,7 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
 
     cover = greedy_partial_cover(g, cfg.seed)
     witness = None
-    floor_frac = Fraction(2, 3) - cfg.eps_prime_frac
-    if dmin >= floor_frac * n:
+    if cfg.meets_degree_floor(dmin, n):
         while cover.size <= n - 4:
             state = AugmentState.from_cover(g, cover)
             out = augment_once(g, state, cfg)
@@ -914,10 +921,9 @@ def reduce_mod3(g: TripartiteGraph, cfg: Optional[Config] = None) -> ReduceResul
     n = g.n
     if n % 3 == 0:
         raise PreconditionDivisibilityError("N is divisible by 3")
-    need = ceil_frac(Fraction(2 * n, 3))
-    if g.min_cross_degree() < need:
+    if 3 * g.min_cross_degree() < 2 * n:
         raise PreconditionDegreeError(
-            f"reduction needs min cross-degree >= ceil(2N/3) = {need}")
+            f"reduction needs min cross-degree >= ceil(2N/3) = {-(-2 * n // 3)}")
     removed: list[Triangle] = []
     keep = [(1 << n) - 1] * 3
     for _ in range(n % 3):

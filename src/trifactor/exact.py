@@ -29,7 +29,9 @@ instances (the gamma/theta blow-up families) tractable:
   is its parent's plus one unit in the field of each of its triangle's
   three groups.
 
-Both are disabled in counting mode, where every leaf must be visited.
+Both are disabled in counting mode, where every leaf must be visited.  The
+twin groups, their sizes and the key units are set up together, in one
+pass per class.
 
 With twin pruning on and counting off, a quotient step runs before the
 node search (the reduction is modular decomposition; McConnell & Spinrad,
@@ -47,7 +49,10 @@ node search decides, when
 1. no twin group has two members (an O(1) check on the group counts);
 2. there are more quotient triangles than groups - 1: every class's
    equations sum to sum_T x_T = N, so the rank is at most groups - 2 and
-   at least two variables would stay free (enumeration stops there);
+   at least two variables would stay free (enumeration stops there).
+   The triangles of the group representatives are counted before
+   anything else is built, and the group member lists are only built
+   for a cover;
 3. elimination leaves more than one free variable.
 
 So the step tries at most N + 1 points, and odd gamma3(t) gets NO_FACTOR in
@@ -118,44 +123,36 @@ class _Searcher:
         self.solution: Optional[list[Triangle]] = None
         if self.twin_pruning:
             self.g = g
-            self.groups, self.sizes = self._twin_groups()
-            self.units = self._key_units()
+            self.groups, self.sizes, self.units = self._twin_setup()
             self.failed: set = set()
         else:
             self.groups = None
 
-    def _twin_groups(self) -> tuple[list[list[int]], list[list[int]]]:
-        """groups[c][i] = twin id of vertex i of class c (identical rows);
-        sizes[c][gid] = number of vertices in twin group gid of class c."""
-        keysets = (
-            [(self.r01[i], self.r02[i]) for i in range(self.n)],
-            [(self.r10[i], self.r12[i]) for i in range(self.n)],
-            [(self.r20[i], self.r21[i]) for i in range(self.n)],
-        )
-        groups, sizes = [], []
-        for keys in keysets:
+    def _twin_setup(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """Twin groups, their sizes and memo-key units, one class at a time.
+
+        groups[c][i] = twin id of vertex i of class c (identical rows, ids
+        in order of first appearance); sizes[c][gid] = number of vertices
+        in group gid; units[c][i] = lowest bit of the memo-key field of i's
+        group.  A group of size s gets s.bit_length() bits, enough for any
+        covered count 0..s, so the key determines every group's covered
+        count."""
+        groups, sizes, units = [], [], []
+        offset = 0
+        for ra, rb in ((self.r01, self.r02), (self.r10, self.r12), (self.r20, self.r21)):
             ids: dict = {}
-            gids = [ids.setdefault(k, len(ids)) for k in keys]
+            gids = [ids.setdefault(k, len(ids)) for k in zip(ra, rb)]
             count = [0] * len(ids)
             for gid in gids:
                 count[gid] += 1
+            start = []
+            for size in count:
+                start.append(1 << offset)
+                offset += size.bit_length()
             groups.append(gids)
             sizes.append(count)
-        return groups, sizes
-
-    def _key_units(self) -> list[list[int]]:
-        """units[c][i] = lowest bit of the memo-key field of i's twin group.
-
-        A group of size s gets s.bit_length() bits, enough for any covered
-        count 0..s, so the key determines every group's covered count."""
-        units, offset = [], 0
-        for gids, sizes in zip(self.groups, self.sizes):
-            start = []
-            for size in sizes:
-                start.append(offset)
-                offset += size.bit_length()
-            units.append([1 << start[gid] for gid in gids])
-        return units
+            units.append([start[gid] for gid in gids])
+        return groups, sizes, units
 
     def _quotient(self) -> bool:
         """The quotient step (see the module docstring); False when it
@@ -165,11 +162,9 @@ class _Searcher:
         n_eqs = sum(counts)
         if n_eqs == 3 * self.n:
             return False
-        members = [[[] for _ in per_class] for per_class in sizes]
-        for c in range(3):
-            for i, gid in enumerate(self.groups[c]):
-                members[c][gid].append(i)
-        masks = [sum(1 << m[0] for m in per_class) for per_class in members]
+        # each group's representative is its first member
+        masks = [sum(1 << gids.index(gid) for gid in range(k))
+                 for gids, k in zip(self.groups, counts)]
         g0, g1, g2 = self.groups
         tris = []
         for t in self.g.iter_triangles(*masks):
@@ -227,6 +222,10 @@ class _Searcher:
                     break
                 x[j] = q
             else:
+                members = [[[] for _ in per_class] for per_class in sizes]
+                for c in range(3):
+                    for i, gid in enumerate(self.groups[c]):
+                        members[c][gid].append(i)
                 pools = [[iter(mem) for mem in per_class] for per_class in members]
                 self.solution = [
                     Triangle(*(next(pools[c][tri[c]]) for c in range(3)))

@@ -273,13 +273,14 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     g = TripartiteGraph.empty(n)
     rows = g._rows
     full = (1 << n) - 1
+    draw = rng.random
     for a, b in ((0, 1), (0, 2), (1, 2)):
+        # s[i*n + j] is "1" when (a, i)-(b, j) is an edge; row i is a slice
+        # and column j a stride of s, reversed so that character k is bit k
+        s = "".join(["1" if draw() < delta_frac else "0" for _ in range(n * n)])
         rows_ab, rows_ba = rows[(a, b)], rows[(b, a)]
-        for i in range(n):
-            for j in range(n):
-                if rng.random() < delta_frac:
-                    rows_ab[i] |= 1 << j
-                    rows_ba[j] |= 1 << i
+        rows_ab[:] = [int(s[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
+        rows_ba[:] = [int(s[j::n][::-1], 2) for j in range(n)]
         deg = {a: [r.bit_count() for r in rows_ab], b: [r.bit_count() for r in rows_ba]}
         # one live (degree, class, index) entry per deficient vertex; an
         # entry whose degree is out of date was superseded when it grew

@@ -108,11 +108,10 @@ class TripartiteGraph:
     def min_cross_degree(self) -> int:
         """delta*(g): minimum over all (vertex, other class) pairs."""
         best = self.n
-        for (a, b), masks in self._rows.items():
+        for masks in self._rows.values():
             for m in masks:
-                d = m.bit_count()
-                if d < best:
-                    best = d
+                if m.bit_count() < best:
+                    best = m.bit_count()
         return best
 
     def density(self, a: Sequence, b: Sequence) -> Fraction:
@@ -287,21 +286,31 @@ def density(g: TripartiteGraph, a: Sequence, b: Sequence) -> Fraction:
 
 
 class TriangleCover:
-    """A set of vertex-disjoint class-transversal triangles (partial or perfect)."""
+    """A set of vertex-disjoint class-transversal triangles (partial or perfect).
+
+    Inputs that are already Triangles are kept as they are; other triples
+    are wrapped.  The triangles are disjoint exactly when each class's
+    covered mask has one bit per triangle, so that is the test; only when
+    it fails (or an index is not a non-negative int) does the constructor
+    walk the triangles in order, raising ValueError at the first repeated
+    vertex.
+    """
 
     __slots__ = ("triangles", "covered")
 
     def __init__(self, triangles: Iterable[Triangle]):
-        tris = tuple(Triangle(*t) for t in triangles)
-        masks = [0, 0, 0]
-        for t in tris:
-            for c, i in enumerate(t):
-                bit = 1 << i
-                if masks[c] & bit:
-                    raise ValueError(f"triangles are not vertex-disjoint at class {c} index {i}")
-                masks[c] |= bit
+        tris = tuple(t if type(t) is Triangle else Triangle(*t) for t in triangles)
+        m0 = m1 = m2 = 0
+        try:
+            for i0, i1, i2 in tris:
+                m0 |= 1 << i0
+                m1 |= 1 << i1
+                m2 |= 1 << i2
+            disjoint = m0.bit_count() == m1.bit_count() == m2.bit_count() == len(tris)
+        except (TypeError, ValueError):
+            disjoint = False
         self.triangles = tris
-        self.covered = tuple(masks)
+        self.covered = (m0, m1, m2) if disjoint else _walk_disjoint(tris)
 
     @property
     def size(self) -> int:
@@ -312,6 +321,19 @@ class TriangleCover:
 
     def __repr__(self) -> str:
         return f"TriangleCover(size={self.size})"
+
+
+def _walk_disjoint(tris: tuple) -> tuple[int, int, int]:
+    """The covered masks of tris, built triangle by triangle; raises
+    ValueError at the first vertex that an earlier triangle already holds."""
+    masks = [0, 0, 0]
+    for t in tris:
+        for c, i in enumerate(t):
+            bit = 1 << i
+            if masks[c] & bit:
+                raise ValueError(f"triangles are not vertex-disjoint at class {c} index {i}")
+            masks[c] |= bit
+    return tuple(masks)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,16 @@ def test_gen_solve_verify_pipeline(tmp_path):
     assert cover.size == 6
 
 
-def test_solve_nofactor_writes_witness(tmp_path):
+def test_solve_nofactor_writes_no_witness(tmp_path, capsys):
+    # gamma3(3) is within the oracle's range: its NoFactor is confirmed by
+    # the oracle and carries no extreme witness, so none is written
     gpath = tmp_path / "g.tri3"
     wpath = tmp_path / "w.json"
     assert run(["gen", "--family", "gamma3", "--t", "3", "--out", gpath]) == 0
+    capsys.readouterr()
     assert run(["solve", "--input", gpath, "--witness", wpath]) == 0
-    if wpath.exists():
-        data = json.loads(wpath.read_text())
-        assert "sets" in data or "assignment" in data
+    assert "outcome: nofactor (exact-oracle)" in capsys.readouterr().out
+    assert not wpath.exists()
 
 
 def test_verify_rejects_wrong_cover(tmp_path):

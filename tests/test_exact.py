@@ -137,6 +137,57 @@ def test_memo_key_is_injective_on_twin_group_counts():
     assert len(keys) == 3 ** 9
 
 
+def reference_twin_setup(g):
+    """Twin groups, sizes and memo-key units in two passes, as the oracle
+    once built them: groups and sizes first, then the units from those."""
+    r = g._rows
+    keysets = (
+        [(r[(0, 1)][i], r[(0, 2)][i]) for i in range(g.n)],
+        [(r[(1, 0)][i], r[(1, 2)][i]) for i in range(g.n)],
+        [(r[(2, 0)][i], r[(2, 1)][i]) for i in range(g.n)],
+    )
+    groups, sizes = [], []
+    for keys in keysets:
+        ids = {}
+        gids = [ids.setdefault(k, len(ids)) for k in keys]
+        count = [0] * len(ids)
+        for gid in gids:
+            count[gid] += 1
+        groups.append(gids)
+        sizes.append(count)
+    units, offset = [], 0
+    for gids, per_class in zip(groups, sizes):
+        start = []
+        for size in per_class:
+            start.append(offset)
+            offset += size.bit_length()
+        units.append([1 << start[gid] for gid in gids])
+    return groups, sizes, units
+
+
+def twin_setup(g):
+    s = trifactor.exact._Searcher(g, 1, False, True)
+    return s.groups, s.sizes, s.units
+
+
+@pytest.mark.parametrize("g", [gamma3(1), gamma3(5), theta33(2), theta32(3),
+                               complete_tripartite(4), blow_up(gen_random_min_degree(4, 0.6, 2), 3),
+                               gen_random_min_degree(12, 2 / 3, 5)])
+def test_twin_setup_matches_reference(g):
+    assert twin_setup(g) == reference_twin_setup(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(gen_random_min_degree, st.integers(1, 15), st.floats(0.3, 1.0),
+              st.integers(0, 10**6)),
+    st.builds(blow_up, st.builds(gen_random_min_degree, st.integers(1, 4),
+                                 st.floats(0.3, 1.0), st.integers(0, 10**6)),
+              st.integers(1, 4))))
+def test_twin_setup_matches_reference_random(g):
+    assert twin_setup(g) == reference_twin_setup(g)
+
+
 # -- equivalence with the rescanning search ------------------------------------
 
 

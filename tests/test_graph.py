@@ -234,6 +234,64 @@ def test_verify_cover_matches_reference(case):
     assert (verdict.ok, verdict.reason, verdict.offender) == (reason is None, reason, offender)
 
 
+def reference_triangle_cover(tris):
+    """TriangleCover's fields, built one vertex at a time."""
+    tris = tuple(Triangle(*t) for t in tris)
+    masks = [0, 0, 0]
+    for t in tris:
+        for c, i in enumerate(t):
+            bit = 1 << i
+            if masks[c] & bit:
+                raise ValueError(f"triangles are not vertex-disjoint at class {c} index {i}")
+            masks[c] |= bit
+    return tris, tuple(masks)
+
+
+def cover_fields_or_error(build, tris):
+    try:
+        return build(tris)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def triangle_cover_fields(tris):
+    c = TriangleCover(tris)
+    return c.triangles, c.covered
+
+
+# overlaps in one class, in several, after or before a negative index
+@pytest.mark.parametrize("tris", [
+    [],
+    [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+    [(0, 0, 0), (0, 1, 1)],
+    [(0, 1, 2), (1, 1, 0), (2, 2, 2)],
+    [(2, 0, 1), (1, 2, 1), (2, 1, 0)],
+    [(0, 0, 0), (1, 1, 1), (1, 1, 1)],
+    [(0, 0, 0), (0, -1, 1)],
+    [(0, -1, 0), (0, 0, 0)],
+    [(3, 1, 4), (1, 5, 9), (2, 6, 5), (3, 5, 8)],
+])
+def test_triangle_cover_matches_reference(tris):
+    assert cover_fields_or_error(triangle_cover_fields, tris) == \
+        cover_fields_or_error(reference_triangle_cover, tris)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6)),
+                max_size=6), st.booleans())
+def test_triangle_cover_matches_reference_random(raw, wrap):
+    tris = [Triangle(*t) for t in raw] if wrap else raw
+    assert cover_fields_or_error(triangle_cover_fields, tris) == \
+        cover_fields_or_error(reference_triangle_cover, tris)
+
+
+def test_triangle_cover_keeps_triangle_inputs():
+    tris = [Triangle(0, 1, 2), Triangle(1, 2, 0)]
+    cover = TriangleCover(tris)
+    assert all(a is b for a, b in zip(cover.triangles, tris))
+    assert all(type(t) is Triangle for t in TriangleCover([(0, 1, 2), [1, 2, 0]]).triangles)
+
+
 edge_lists = st.lists(
     st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
               st.integers(0, 4), st.integers(0, 4)),
