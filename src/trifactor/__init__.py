@@ -23,7 +23,6 @@ from .cover import (
 from .exact import ExactResult, SearchStats, exact_factor, has_factor
 from .families import (
     ApproxBlowUp,
-    MultiClassGraph,
     approx_blow_up,
     blow_up,
     complete_tripartite,
@@ -43,8 +42,6 @@ from .graph import (
     TripartiteGraph,
     VertexRef,
     build_graph,
-    cross_degree,
-    density,
     verify_cover,
 )
 from .matching import max_matching

@@ -2,7 +2,8 @@
 
 Subcommands: gen, solve, verify, sweep, conjecture, roundtrip.
 Exit codes: 0 success, 2 verification failure, 3 parse error, 4 any other
-library error or a file that cannot be read or written.
+library error (a parameter out of range among them) or a file that cannot
+be read or written.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _cmd_gen(args, cfg: Config) -> int:
         if args.eps > 0 or args.delta > 0:
             g = approx_blow_up(base, args.t, args.eps, args.delta, args.seed).graph
         else:
-            g = blow_up(base.to_tripartite(), args.t)
+            g = blow_up(base, args.t)
     tio.save_graph(args.out, g)
     print(f"wrote {args.out}: N={g.n}")
     return EXIT_OK

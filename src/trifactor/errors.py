@@ -11,6 +11,11 @@ class InternalError(TrifactorError):
     raise it explicitly so that they also run under ``python -O``."""
 
 
+class ParameterError(TrifactorError, ValueError):
+    """A generator or sweep parameter lies outside the range it accepts.
+    Also a ValueError, the type Python code raises for such a value."""
+
+
 # -- graph construction / queries ------------------------------------------
 
 class WithinClassEdgeError(TrifactorError):

@@ -1,10 +1,12 @@
 """Generators for the extremal families and benchmark instances.
 
-Columns are 0-indexed internally: in the grid families below, column 0 of
-gamma_k plays the special role (descriptions that start counting at 1
-call it column 1).  Only the 3-class members downcast to TripartiteGraph; the
-generators themselves emit a small abstract multi-class graph so the m x n /
-k x k families can be stated in full generality.
+Every generator returns a TripartiteGraph.  The paper states the grid
+families theta_{m x n} and gamma_k for any number of classes, but only
+their 3-class members are balanced tripartite graphs, so only those are
+built.  Columns are 0-indexed: column 0 of gamma_k plays the special role
+(descriptions that start counting at 1 call it column 1).  A blow-up
+replaces base vertex j of a class by a run of consecutive clones, in base
+order.
 """
 
 from __future__ import annotations
@@ -13,151 +15,82 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from .config import ceil_frac, floor_frac
-from .errors import IndexOutOfRangeError, NotANonEdgeError, WithinClassEdgeError
-from .graph import TripartiteGraph, VertexRef, iter_bits
+from .errors import NotANonEdgeError, ParameterError
+from .graph import CLASS_PAIRS, ORDERED_PAIRS, TripartiteGraph, VertexRef, iter_bits, mask_of
 
 
-Vertex = tuple[int, int]  # (class_id, index within class)
+def _grid(n: int, adjacent) -> TripartiteGraph:
+    """The 3-class graph on n columns: (i, j) ~ (i', j') iff i != i' and
+    adjacent(j, j'), a symmetric predicate."""
+    rows = [mask_of(jp for jp in range(n) if adjacent(j, jp)) for j in range(n)]
+    return TripartiteGraph(n, {key: list(rows) for key in ORDERED_PAIRS})
 
 
-@dataclass
-class MultiClassGraph:
-    """Abstract graph on k vertex classes; edges only run between classes."""
-
-    sizes: list[int]
-    edges: set[frozenset]
-
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        if u[0] == v[0]:
-            raise ValueError("within-class edge")
-        self.edges.add(frozenset((u, v)))
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return frozenset((u, v)) in self.edges
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.sizes)
-
-    def to_tripartite(self) -> TripartiteGraph:
-        """The same graph as a TripartiteGraph, each edge ORed into its rows."""
-        if self.num_classes != 3 or len(set(self.sizes)) != 1:
-            raise ValueError("not a balanced 3-class graph")
-        n = self.sizes[0]
-        if n <= 0:
-            raise IndexOutOfRangeError("n_per_class must be positive")
-        g = TripartiteGraph.empty(n)
-        rows = g._rows
-        for (cu, iu), (cv, iv) in self.edges:
-            if not (0 <= iu < n and 0 <= iv < n and (cu, cv) in rows):
-                if cu == cv:
-                    raise WithinClassEdgeError(f"edge within class {cu}")
-                raise IndexOutOfRangeError(f"edge {(cu, iu)}-{(cv, iv)} out of range")
-            rows[(cu, cv)][iu] |= 1 << iv
-            rows[(cv, cu)][iv] |= 1 << iu
-        return g
-
-
-def gen_theta(m: int, n: int) -> MultiClassGraph:
+def gen_theta(m: int, n: int) -> TripartiteGraph:
     """Grid graph on m classes of n: h_{i,j} ~ h_{i',j'} iff i != i' and j != j'.
 
-    gen_theta(3, 2) is triangle-free; it is the extremal obstruction that the
-    covering machinery has to recognize.
+    Only m = 3 is built.  gen_theta(3, 2) is triangle-free; it is the
+    extremal obstruction that the covering machinery has to recognize.
     """
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2, n >= 1")
-    g = MultiClassGraph([n] * m, set())
-    for i in range(m):
-        for ip in range(i + 1, m):
-            for j in range(n):
-                for jp in range(n):
-                    if j != jp:
-                        g.add_edge((i, j), (ip, jp))
-    return g
+    if m != 3:
+        raise ParameterError("only the 3-class member is a tripartite graph")
+    if n < 1:
+        raise ParameterError("need n >= 1")
+    return _grid(n, lambda j, jp: j != jp)
 
 
-def gen_gamma(k: int) -> MultiClassGraph:
-    """The gamma_k family on k classes of k vertices.
+def gen_gamma(k: int) -> TripartiteGraph:
+    """The gamma_k family on k classes of k vertices; only k = 3 is built.
 
     h_{i,j} ~ h_{i',j'} iff i != i' and either (j != j' and one of j,j' lies
     in the first k-2 columns) or (j = j' and j is one of the last two
-    columns).  For k = 3 the blow-ups gamma3(t) admit a perfect K_3 factor
-    exactly when t is even.
+    columns).  The blow-ups gamma3(t) admit a perfect K_3 factor exactly
+    when t is even.
     """
-    if k < 3:
-        raise ValueError("need k >= 3")
+    if k != 3:
+        raise ParameterError("only the 3-class member is a tripartite graph")
     special = {k - 2, k - 1}  # last two columns, 0-indexed
-    g = MultiClassGraph([k] * k, set())
-    for i in range(k):
-        for ip in range(i + 1, k):
-            for j in range(k):
-                for jp in range(k):
-                    if j != jp and (j not in special or jp not in special):
-                        g.add_edge((i, j), (ip, jp))
-                    elif j == jp and j in special:
-                        g.add_edge((i, j), (ip, jp))
-    return g
+    return _grid(k, lambda j, jp: (j != jp and (j not in special or jp not in special))
+                 or (j == jp and j in special))
 
 
-def blow_up(g, t: int):
+def _clone_rows(g: TripartiteGraph, sizes: list[list[int]]
+                ) -> tuple[dict[tuple[int, int], list[int]], list[list[int]]]:
+    """Rows of g with base vertex (c, j) replaced by sizes[c][j] clones and
+    each edge by a complete bipartite block, plus each base vertex's first
+    clone index.  A clone's row is the OR of its base neighbours' blocks."""
+    starts = [[0, *accumulate(row[:-1])] for row in sizes]
+    blocks = [[((1 << s) - 1) << o for s, o in zip(row, offs)]
+              for row, offs in zip(sizes, starts)]
+    rows = {}
+    for a, b in ORDERED_PAIRS:
+        blocks_b = blocks[b]
+        out = []
+        for base_row, s in zip(g._rows[(a, b)], sizes[a]):
+            acc = 0
+            for k in iter_bits(base_row):
+                acc |= blocks_b[k]
+            out.extend([acc] * s)
+        rows[(a, b)] = out
+    return rows, starts
+
+
+def blow_up(g: TripartiteGraph, t: int) -> TripartiteGraph:
     """Replace each vertex by t clones and each edge by a complete t x t
-    bipartite graph.  Accepts either graph kind and returns the same kind.
-
-    Base vertex j becomes clones j*t .. j*t+t-1, so a TripartiteGraph is
-    blown up row by row: a clone's row is the OR of one t-bit block per
-    neighbour of its base vertex.
-    """
+    bipartite graph: base vertex j becomes clones j*t .. j*t+t-1."""
     if t < 1:
-        raise ValueError("t must be >= 1")
-    if isinstance(g, TripartiteGraph):
-        block = (1 << t) - 1
-        rows = {}
-        for key, base_rows in g._rows.items():
-            blown_rows = []
-            for row in base_rows:
-                acc = 0
-                for k in iter_bits(row):
-                    acc |= block << (k * t)
-                blown_rows.extend([acc] * t)
-            rows[key] = blown_rows
-        return TripartiteGraph(g.n * t, rows)
-    blown, _ = _blow_up_multi(g, [[t] * s for s in g.sizes])
-    return blown
-
-
-def _blow_up_multi(g: MultiClassGraph, cluster_sizes: list[list[int]]
-                   ) -> tuple[MultiClassGraph, dict[Vertex, Vertex]]:
-    """Blow up with per-vertex cluster sizes; returns (graph, clone -> base)."""
-    offsets = []
-    for c in range(g.num_classes):
-        offs, acc = [], 0
-        for s in cluster_sizes[c]:
-            offs.append(acc)
-            acc += s
-        offsets.append((offs, acc))
-    out = MultiClassGraph([offsets[c][1] for c in range(g.num_classes)], set())
-    assignment: dict[Vertex, Vertex] = {}
-    for c in range(g.num_classes):
-        offs, _ = offsets[c]
-        for j, s in enumerate(cluster_sizes[c]):
-            for r in range(s):
-                assignment[(c, offs[j] + r)] = (c, j)
-    for e in g.edges:
-        (cu, ju), (cv, jv) = sorted(e)
-        ou, su = offsets[cu][0][ju], cluster_sizes[cu][ju]
-        ov, sv = offsets[cv][0][jv], cluster_sizes[cv][jv]
-        for a in range(su):
-            for b in range(sv):
-                out.add_edge((cu, ou + a), (cv, ov + b))
-    return out, assignment
+        raise ParameterError("t must be >= 1")
+    rows, _ = _clone_rows(g, [[t] * g.n] * 3)
+    return TripartiteGraph(g.n * t, rows)
 
 
 @dataclass
 class ApproxBlowUp:
     """A perturbed blow-up together with its planted ground truth."""
 
-    graph: object                      # TripartiteGraph for 3-class bases
+    graph: TripartiteGraph
     assignment: dict                   # clone vertex -> base vertex
     cluster_sizes: list[list[int]]
     realized_eps: float
@@ -170,83 +103,84 @@ class ApproxBlowUp:
         return max(self.nonedge_densities.values())
 
 
-def approx_blow_up(g: MultiClassGraph, t: int, eps: float, delta_density: float,
+def approx_blow_up(g: TripartiteGraph, t: int, eps: float, delta_density: float,
                    seed: int) -> ApproxBlowUp:
     """(eps, delta)-approximate blow-up.
 
     Cluster sizes are drawn uniformly from the integers in
-    [(1-eps)t, (1+eps)t]; when every class has the same number of base
-    vertices the draw is adjusted so all class totals agree (the downstream
-    graph type is balanced).  Model edges become complete bipartite blocks;
+    [(1-eps)t, (1+eps)t], then adjusted so all class totals agree (the
+    result is balanced).  Model edges become complete bipartite blocks;
     model non-edges get independent noise edges with probability
-    delta_density.  Realized per-pair densities are reported alongside so
-    tests can assert against what actually happened, not the target.
+    delta_density, one draw per clone pair, class pairs in CLASS_PAIRS
+    order and base vertices and clones ascending.  Realized per-pair
+    densities are reported alongside so tests can assert against what
+    actually happened, not the target.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise ParameterError("t must be >= 1")
     if not (0 <= eps < 1 and 0 <= delta_density <= 1):
-        raise ValueError("bad noise parameters")
+        raise ParameterError("bad noise parameters")
     rng = random.Random(f"approx-blow-up:{seed}")
     lo = max(1, ceil_frac(Fraction(str(1 - eps)) * t))
     hi = max(lo, floor_frac(Fraction(str(1 + eps)) * t))
-    sizes = [[rng.randint(lo, hi) for _ in range(s)] for s in g.sizes]
+    n = g.n
+    sizes = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(3)]
 
-    if len(set(g.sizes)) == 1:
-        # equalize class totals so the result is balanced
-        totals = [sum(row) for row in sizes]
-        target = sorted(totals)[len(totals) // 2]
-        target = min(max(target, g.sizes[0] * lo), g.sizes[0] * hi)
-        for c, row in enumerate(sizes):
-            while sum(row) > target:
-                j = rng.randrange(len(row))
-                if row[j] > lo:
-                    row[j] -= 1
-            while sum(row) < target:
-                j = rng.randrange(len(row))
-                if row[j] < hi:
-                    row[j] += 1
+    # equalize class totals on their median, clamped to what the sizes allow
+    target = sorted(sum(row) for row in sizes)[1]
+    target = min(max(target, n * lo), n * hi)
+    for row in sizes:
+        while sum(row) > target:
+            j = rng.randrange(n)
+            if row[j] > lo:
+                row[j] -= 1
+        while sum(row) < target:
+            j = rng.randrange(n)
+            if row[j] < hi:
+                row[j] += 1
 
-    blown, assignment = _blow_up_multi(g, sizes)
+    rows, starts = _clone_rows(g, sizes)
+    assignment = {(c, starts[c][j] + r): (c, j)
+                  for c in range(3) for j in range(n) for r in range(sizes[c][j])}
 
-    # noise on model non-edges (cross-class only)
-    members: dict[Vertex, list[Vertex]] = {}
-    for clone, base in assignment.items():
-        members.setdefault(base, []).append(clone)
+    # noise on model non-edges
+    draw = rng.random
     densities = {}
-    k = g.num_classes
-    for c in range(k):
-        for cp in range(c + 1, k):
-            for j in range(g.sizes[c]):
-                for jp in range(g.sizes[cp]):
-                    if g.has_edge((c, j), (cp, jp)):
-                        continue
-                    added = 0
-                    us, vs = members[(c, j)], members[(cp, jp)]
-                    for u in us:
-                        for v in vs:
-                            if rng.random() < delta_density:
-                                blown.add_edge(u, v)
-                                added += 1
-                    densities[((c, j), (cp, jp))] = Fraction(added, len(us) * len(vs))
+    for a, b in CLASS_PAIRS:
+        base_ab, rows_ab, rows_ba = g._rows[(a, b)], rows[(a, b)], rows[(b, a)]
+        for j in range(n):
+            us = range(starts[a][j], starts[a][j] + sizes[a][j])
+            for jp in range(n):
+                if base_ab[j] >> jp & 1:
+                    continue
+                vs = range(starts[b][jp], starts[b][jp] + sizes[b][jp])
+                added = 0
+                for u in us:
+                    for v in vs:
+                        if draw() < delta_density:
+                            rows_ab[u] |= 1 << v
+                            rows_ba[v] |= 1 << u
+                            added += 1
+                densities[((a, j), (b, jp))] = Fraction(added, len(us) * len(vs))
 
-    realized_eps = max(abs(s - t) / t for row in sizes for s in row) if t else 0.0
-    graph = blown.to_tripartite() if (k == 3 and len(set(blown.sizes)) == 1) else blown
-    return ApproxBlowUp(graph, assignment, sizes, realized_eps, densities)
+    realized_eps = max(abs(s - t) / t for row in sizes for s in row)
+    return ApproxBlowUp(TripartiteGraph(target, rows), assignment, sizes,
+                        realized_eps, densities)
 
 
 # -- convenience 3-class instances ------------------------------------------
 
 
 def theta32(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_theta(3, 2).to_tripartite(), t)
+    return blow_up(gen_theta(3, 2), t)
 
 
 def theta33(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_theta(3, 3).to_tripartite(), t)
+    return blow_up(gen_theta(3, 3), t)
 
 
 def gamma3(t: int = 1) -> TripartiteGraph:
-    return blow_up(gen_gamma(3).to_tripartite(), t)
+    return blow_up(gen_gamma(3), t)
 
 
 def complete_tripartite(n: int) -> TripartiteGraph:
@@ -267,14 +201,14 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     seed.
     """
     if not 0 <= delta_frac <= 1:
-        raise ValueError("delta_frac must be in [0,1]")
+        raise ParameterError("delta_frac must be in [0,1]")
     rng = random.Random(f"random-min-degree:{seed}")
     target = ceil_frac(Fraction(str(delta_frac)) * n)
     g = TripartiteGraph.empty(n)
     rows = g._rows
     full = (1 << n) - 1
     draw = rng.random
-    for a, b in ((0, 1), (0, 2), (1, 2)):
+    for a, b in CLASS_PAIRS:
         # s[i*n + j] is "1" when (a, i)-(b, j) is an edge; row i is a slice
         # and column j a stride of s, reversed so that character k is bit k
         s = "".join(["1" if draw() < delta_frac else "0" for _ in range(n * n)])
@@ -311,12 +245,15 @@ def mutate_add_edge(g: TripartiteGraph, u, v) -> TripartiteGraph:
     g._check_vertex(cv, iv)
     if g.has_edge(u, v):
         raise NotANonEdgeError(f"{u}-{v} is already an edge")
-    return g.with_extra_edge(u, v)
+    rows = {key: list(masks) for key, masks in g._rows.items()}
+    rows[(cu, cv)][iu] |= 1 << iv
+    rows[(cv, cu)][iv] |= 1 << iu
+    return TripartiteGraph(g.n, rows)
 
 
 def non_edges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
     out = []
-    for a, b in ((0, 1), (0, 2), (1, 2)):
+    for a, b in CLASS_PAIRS:
         for i in range(g.n):
             row = g._rows[(a, b)][i]
             for j in range(g.n):

@@ -80,9 +80,6 @@ class TripartiteGraph:
         rows = {key: [0] * n for key in ORDERED_PAIRS}
         return cls(n, rows)
 
-    def copy_rows(self) -> dict[tuple[int, int], list[int]]:
-        return {key: list(masks) for key, masks in self._rows.items()}
-
     # -- queries -------------------------------------------------------------
 
     def nbr_mask(self, class_id: int, index: int, other_class: int) -> int:
@@ -189,15 +186,6 @@ class TripartiteGraph:
 
     # -- derived graphs -------------------------------------------------------
 
-    def with_extra_edge(self, u, v) -> "TripartiteGraph":
-        """New graph with one more edge; the original is unchanged."""
-        cu, iu = u
-        cv, iv = v
-        rows = self.copy_rows()
-        rows[(cu, cv)][iu] |= 1 << iv
-        rows[(cv, cu)][iv] |= 1 << iu
-        return TripartiteGraph(self.n, rows)
-
     def induce(self, keep: Sequence[int]) -> tuple["TripartiteGraph", list[list[int]]]:
         """Induced subgraph on three equal-size index masks.
 
@@ -272,14 +260,6 @@ def build_graph(n_per_class: int, edges: Iterable[tuple]) -> TripartiteGraph:
         rows[(cu, cv)][iu] |= 1 << iv
         rows[(cv, cu)][iv] |= 1 << iu
     return g
-
-
-def cross_degree(g: TripartiteGraph, v, other_class: int) -> int:
-    return g.cross_degree(v, other_class)
-
-
-def density(g: TripartiteGraph, a: Sequence, b: Sequence) -> Fraction:
-    return g.density(a, b)
 
 
 # -- covers --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .config import Config
 from .cover import solve
+from .errors import ParameterError
 from .exact import BUDGET, COVER, NO_FACTOR, exact_factor
 from .families import blow_up, gen_random_min_degree
 from .graph import TripartiteGraph, build_graph
@@ -31,9 +32,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ParameterError("trials must be >= 1")
         if any(not 0 <= f <= 1 for f in self.fractions):
-            raise ValueError("fractions must lie in [0,1]")
+            raise ParameterError("fractions must lie in [0,1]")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 .tri3: line 1 is `tri3 <N>`, then one line per edge
 `e <classA> <idxA> <classB> <idxB>` with classA < classB, 0-indexed.
+Every number is a run of ASCII digits.
 Lines starting with `#` are comments; N may be at most MAX_N, as the graph
 allocates its adjacency rows up front.  Serialization is canonical (sorted
 edges), so parse . serialize is the identity on canonical files.
@@ -25,6 +26,17 @@ def serialize_graph(g: TripartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digits(token: str) -> Optional[int]:
+    """The value of a run of ASCII digits; None for any other token, so a
+    sign, an underscore or a non-ASCII digit is rejected, not read."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_graph(text: str) -> TripartiteGraph:
     n = None
     edges = []
@@ -36,10 +48,9 @@ def parse_graph(text: str) -> TripartiteGraph:
         if n is None:
             if parts[0] != "tri3" or len(parts) != 2:
                 raise ParseError(lineno, "expected header 'tri3 <N>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad N {parts[1]!r}") from None
+            n = _digits(parts[1])
+            if n is None:
+                raise ParseError(lineno, f"bad N {parts[1]!r}")
             if n <= 0:
                 raise ParseError(lineno, "N must be positive")
             if n > MAX_N:
@@ -47,10 +58,10 @@ def parse_graph(text: str) -> TripartiteGraph:
             continue
         if parts[0] != "e" or len(parts) != 5:
             raise ParseError(lineno, "expected 'e <classA> <idxA> <classB> <idxB>'")
-        try:
-            ca, ia, cb, ib = (int(x) for x in parts[1:])
-        except ValueError:
-            raise ParseError(lineno, "non-integer edge field") from None
+        fields = [_digits(x) for x in parts[1:]]
+        if None in fields:
+            raise ParseError(lineno, "non-integer edge field")
+        ca, ia, cb, ib = fields
         if not (0 <= ca < 3 and 0 <= cb < 3):
             raise ParseError(lineno, f"class out of range on line {line!r}")
         if ca >= cb:

@@ -177,6 +177,26 @@ def test_other_library_error_exit_code(tmp_path):
     assert run(["gen", "--family", "complete", "--out", gpath]) == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--family", "theta3x2", "--t", "0"],
+    ["gen", "--family", "random", "--n", "5", "--min-deg-frac", "1.5"],
+    ["gen", "--family", "gamma3", "--t", "2", "--delta", "2"],
+    ["sweep", "--n", "6", "--fractions", "1.5"],
+], ids=["blow-up-t", "min-deg-frac", "noise-delta", "sweep-fraction"])
+def test_bad_argument_value_is_library_error(tmp_path, capsys, args):
+    assert run([*args, "--out", tmp_path / "out"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["tri3 1_0\n", "tri3 +3\n", "tri3 3\ne 0 0 1 +1\n"])
+def test_non_digit_tri3_integer_exit_code(tmp_path, capsys, text):
+    gpath = tmp_path / "g.tri3"
+    gpath.write_text(text)
+    assert run(["solve", "--input", gpath]) == 3
+    assert "parse error: line " in capsys.readouterr().err
+
+
 def test_missing_input_file_exit_code(tmp_path, capsys):
     assert run(["solve", "--input", tmp_path / "missing.tri3"]) == 4
     assert "error: " in capsys.readouterr().err

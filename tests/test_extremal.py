@@ -40,13 +40,7 @@ from trifactor.graph import build_graph, mask_of, verify_cover
 def planted_assignment(model_gen, t):
     """Ground-truth assignment for an exact blow-up (cluster j = column j)."""
     base = model_gen()
-    k = len(base.sizes)
-    asn = {}
-    for c in range(3):
-        for j in range(base.sizes[c]):
-            for r in range(t):
-                asn[(c, j * t + r)] = (c, j)
-    return asn
+    return {(c, j * t + r): (c, j) for c in range(3) for j in range(base.n) for r in range(t)}
 
 
 def column_witness(g, t, col=0):

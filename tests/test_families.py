@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifactor.errors import IndexOutOfRangeError, NotANonEdgeError, WithinClassEdgeError
+from trifactor.errors import NotANonEdgeError
 from trifactor.exact import COVER, exact_factor, has_factor
 from trifactor.families import (
     approx_blow_up,
@@ -30,7 +30,6 @@ from trifactor.graph import (
     TriangleCover,
     TripartiteGraph,
     build_graph,
-    cross_degree,
     iter_bits,
     verify_cover,
 )
@@ -40,37 +39,40 @@ from conftest import brute_triangles
 
 def test_theta_3x2_counts():
     g = gen_theta(3, 2)
-    assert g.sizes == [2, 2, 2]
-    assert len(g.edges) == 6
+    assert g.n == 2
+    assert len(g.edges()) == 6
     assert theta32(1).find_triangle() is None
 
 
 def test_theta_3x3_counts():
     g = gen_theta(3, 3)
-    assert len(g.edges) == 18
+    assert len(g.edges()) == 18
     tri = theta33(1)
     for c in range(3):
         for i in range(3):
             for other in range(3):
                 if other != c:
-                    assert cross_degree(tri, (c, i), other) == 2
+                    assert tri.cross_degree((c, i), other) == 2
 
 
-def test_theta_2x1_empty():
-    g = gen_theta(2, 1)
-    assert len(g.edges) == 0
+def test_grid_families_build_only_three_classes():
+    # only the 3-class members are balanced tripartite graphs
+    for bad in (lambda: gen_theta(2, 1), lambda: gen_theta(4, 2), lambda: gen_theta(3, 0),
+                lambda: gen_gamma(2), lambda: gen_gamma(4)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_gamma3_structure():
     g = gen_gamma(3)
-    assert len(g.edges) == 18
+    assert len(g.edges()) == 18
     tri = gamma3(1)
     # all cross-class degrees exactly 2 -> 4-regular overall
     for c in range(3):
         for i in range(3):
             for other in range(3):
                 if other != c:
-                    assert cross_degree(tri, (c, i), other) == 2
+                    assert tri.cross_degree((c, i), other) == 2
     # no edge between column 1 and column 2 (the last two columns)
     for ca in range(3):
         for cb in range(3):
@@ -87,7 +89,7 @@ def test_blow_up_identity():
 
 
 def test_blow_up_theta32_triangle_free():
-    g = blow_up(gen_theta(3, 2), 2).to_tripartite()
+    g = blow_up(gen_theta(3, 2), 2)
     assert g.n == 4
     assert len(g.edges()) == 24
     assert g.find_triangle() is None
@@ -116,7 +118,7 @@ def test_blow_up_preserves_factor_constructively():
 def test_approx_blow_up_zero_noise_is_blow_up():
     base = gen_theta(3, 2)
     res = approx_blow_up(base, 3, 0.0, 0.0, seed=5)
-    assert res.graph == blow_up(base, 3).to_tripartite()
+    assert res.graph == blow_up(base, 3)
     assert res.realized_eps == 0
     assert res.max_nonedge_density == 0
 
@@ -261,13 +263,10 @@ def test_greedy_on_gamma3_bounded_by_max():
 
 
 def reference_blow_up(g, t):
-    """The MultiClassGraph route: frozenset edges, blown up, rebuilt."""
-    from trifactor.families import MultiClassGraph
-
-    base = MultiClassGraph([g.n] * 3, set())
-    for u, v in g.edges():
-        base.add_edge(tuple(u), tuple(v))
-    return blow_up(base, t).to_tripartite()
+    """The edge-list route: every clone pair of every base edge, built."""
+    return build_graph(g.n * t, [((a, i * t + r), (b, j * t + s))
+                                 for (a, i), (b, j) in g.edges()
+                                 for r in range(t) for s in range(t)])
 
 
 @st.composite
@@ -280,24 +279,8 @@ def small_bases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(small_bases(), st.integers(1, 4))
-def test_blow_up_of_tripartite_matches_multiclass_route(g, t):
+def test_blow_up_matches_edge_list_reference(g, t):
     assert blow_up(g, t) == reference_blow_up(g, t)
-
-
-def test_to_tripartite_checks_shape_and_ranges():
-    from trifactor.families import MultiClassGraph
-
-    with pytest.raises(ValueError):
-        MultiClassGraph([2, 3, 2], set()).to_tripartite()
-    with pytest.raises(ValueError):
-        MultiClassGraph([2, 2], set()).to_tripartite()
-    for bad in (((0, 0), (1, 2)), ((0, -1), (2, 0)), ((0, 0), (3, 1))):
-        with pytest.raises(IndexOutOfRangeError):
-            MultiClassGraph([2, 2, 2], {frozenset(bad)}).to_tripartite()
-    with pytest.raises(IndexOutOfRangeError):
-        MultiClassGraph([0, 0, 0], set()).to_tripartite()
-    with pytest.raises(WithinClassEdgeError):
-        MultiClassGraph([2, 2, 2], {frozenset(((1, 0), (1, 1)))}).to_tripartite()
 
 
 def _sha(text):
@@ -317,7 +300,29 @@ PINNED = {
     ("theta33", 6): "da51340d84571df1e5564c3d214976f39d05e40d427cd1ba68a4920612ecbac6",
     ("approx", 1): "f532cbb75d73410d78ddfd5d6414f0ca6f4b327240f8149fc7dd4a9ff74912a3",
     ("approx", 2): "076a2055a1a19b7d5c3e1df233cfd67f61fba9842b1a56cfd8725b93cfe637b9",
+    ("theta32", 4): "77fe4135f1e8e6fc77740c3de08f313ef8c7414e6c1a09edd9a0d86f829e51a8",
+    # (base, t, eps, delta, seed); the eps = 0.25 and 0.3 draws are
+    # unequal, so their equalisation draws are pinned too
+    ("approx", "theta33", 8, 0.02, 0.01, 1):
+        "bf4989c75dbfd6d0629063f47a448838d738499871514fd682fe124250c1fde9",
+    ("approx", "theta33", 8, 0.02, 0.01, 2):
+        "e09b57009fc273ba3176439af77ecadb304f325496e1f8c20436b14515658a18",
+    ("approx", "theta32", 8, 0.05, 0.01, 1):
+        "24245694fc475ac36811f795f70da9de8bb18f4ea4b983cebb5ff6f13006e1e7",
+    ("approx", "theta32", 8, 0.05, 0.01, 2):
+        "ce3a0b8bcaab01b68dde442108c56f8082e208eafbdefa020d490b3e047bf5d8",
+    ("approx", "gamma3", 4, 0.25, 0.02, 1):
+        "3663586abb68cf5cba564e62647965d9c040c4d34340d1e11a24d90426552f24",
+    ("approx", "gamma3", 4, 0.25, 0.02, 2):
+        "dab9efed72c433e53190eb41fa771d2a0f24b47a0459fd1aeb6d81f347eed11e",
+    ("approx", "theta32", 6, 0.3, 0.02, 1):
+        "1456932668e89cba8ef27aad0cf62a6bcf6aee7f10622eeb72233488f9a9a74f",
+    ("approx", "theta32", 6, 0.3, 0.02, 2):
+        "260dcb42fb7c93f202fb6d7b14e1e07d83114f9ecf2075a4c151d2041070f58d",
 }
+
+PINNED_BASES = {"gamma3": lambda: gen_gamma(3), "theta32": lambda: gen_theta(3, 2),
+                "theta33": lambda: gen_theta(3, 3)}
 
 
 def test_generator_outputs_are_pinned():
@@ -330,8 +335,13 @@ def test_generator_outputs_are_pinned():
             got[key] = _sha(serialize_graph(gamma3(key[1])))
         elif key[0] == "theta33":
             got[key] = _sha(serialize_graph(theta33(key[1])))
+        elif key[0] == "theta32":
+            got[key] = _sha(serialize_graph(theta32(key[1])))
         else:
-            res = approx_blow_up(gen_gamma(3), 5, 0.0, 0.01, key[1])
+            # ("approx", seed) is the bench's noisy gamma3(5)
+            base, t, eps, delta, seed = (key[1:] if len(key) == 6
+                                         else ("gamma3", 5, 0.0, 0.01, key[1]))
+            res = approx_blow_up(PINNED_BASES[base](), t, eps, delta, seed)
             got[key] = _sha(serialize_graph(res.graph)
                             + repr(sorted(res.assignment.items()))
                             + repr(sorted(res.nonedge_densities.items())))

@@ -18,8 +18,6 @@ from trifactor.graph import (
     Triangle,
     TriangleCover,
     build_graph,
-    cross_degree,
-    density,
     iter_bits,
     verify_cover,
 )
@@ -48,7 +46,7 @@ def test_build_k222():
         for i in range(2):
             for other in range(3):
                 if other != c:
-                    assert cross_degree(g, (c, i), other) == 2
+                    assert g.cross_degree((c, i), other) == 2
 
 
 def test_build_duplicates_collapse():
@@ -70,7 +68,7 @@ def test_build_rejects_bad_index():
 def test_cross_degree_same_class_query():
     g = complete_tripartite(2)
     with pytest.raises(SameClassQueryError):
-        cross_degree(g, (1, 0), 1)
+        g.cross_degree((1, 0), 1)
 
 
 def test_cross_degree_gamma3():
@@ -80,16 +78,16 @@ def test_cross_degree_gamma3():
         for i in range(3):
             for other in range(3):
                 if other != c:
-                    assert cross_degree(g, (c, i), other) == 2
+                    assert g.cross_degree((c, i), other) == 2
 
 
 def test_density_complete_and_empty():
     g = complete_tripartite(3)
     a = [(0, i) for i in range(3)]
     b = [(1, i) for i in range(3)]
-    assert density(g, a, b) == 1
+    assert g.density(a, b) == 1
     g0 = build_graph(3, [])
-    assert density(g0, a, b) == 0
+    assert g0.density(a, b) == 0
 
 
 def test_density_theta32_rows():
@@ -100,22 +98,22 @@ def test_density_theta32_rows():
     a = [(0, 0), (0, 1)]
     b = [(1, 0), (1, 1)]
     # 2 cross edges out of 4 cells
-    assert density(g, a, b) == Fraction(1, 2)
+    assert g.density(a, b) == Fraction(1, 2)
 
 
 def test_density_errors():
     g = complete_tripartite(2)
     with pytest.raises(EmptySetError):
-        density(g, [], [(1, 0)])
+        g.density([], [(1, 0)])
     with pytest.raises(SameClassError):
-        density(g, [(0, 0)], [(0, 1)])
+        g.density([(0, 0)], [(0, 1)])
     with pytest.raises(SameClassError):
-        density(g, [(0, 0), (1, 0)], [(2, 0)])
+        g.density([(0, 0), (1, 0)], [(2, 0)])
 
 
 def test_density_is_exact_rational():
     g = gamma3(1)
-    d = density(g, [(0, 0), (0, 1), (0, 2)], [(1, 0), (1, 1), (1, 2)])
+    d = g.density([(0, 0), (0, 1), (0, 2)], [(1, 0), (1, 1), (1, 2)])
     assert d == Fraction(6, 9)
 
 
@@ -309,9 +307,9 @@ def test_roundtrip_and_degree_sums(raw):
     assert g2 == g
     # degree sums equal pair edge counts
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        total = sum(cross_degree(g, (a, i), b) for i in range(5))
+        total = sum(g.cross_degree((a, i), b) for i in range(5))
         assert total == g.edge_count(a, b)
-        assert total == sum(cross_degree(g, (b, j), a) for j in range(5))
+        assert total == sum(g.cross_degree((b, j), a) for j in range(5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +319,7 @@ def test_density_symmetry(raw, k1, k2):
     g = build_graph(5, edges)
     a = [(0, i) for i in range(k1 + 1)]
     b = [(2, j) for j in range(k2 + 1)]
-    assert density(g, a, b) == density(g, b, a)
+    assert g.density(a, b) == g.density(b, a)
 
 
 def reference_induce(g, keep):

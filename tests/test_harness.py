@@ -60,6 +60,22 @@ def test_parse_comments_and_index_ranges():
         parse_graph("tri3 2\ne 0 0 1 2\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+5", "-2", "0x3", "\u0663", "9" * 5000])
+def test_parse_header_n_is_ascii_digits(token):
+    # int() would read "1_0" as 10, "+5" as 5 and an Arabic-Indic 3 as 3
+    with pytest.raises(ParseError, match="bad N") as exc:
+        parse_graph(f"# comment\ntri3 {token}\n")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("field", ["1_0", "+1", "-0", "\u0661", "1.0"])
+def test_parse_edge_fields_are_ascii_digits(field):
+    with pytest.raises(ParseError, match="non-integer edge field") as exc:
+        parse_graph(f"tri3 12\ne 0 0 1 1\ne 0 {field} 1 1\n")
+    assert exc.value.line == 3
+    assert parse_graph("tri3 12\ne 0 10 1 01\n").has_edge((0, 10), (1, 1))
+
+
 def test_parse_rejects_header_above_max_n():
     # the graph allocates its adjacency rows from the header alone
     with pytest.raises(ParseError, match="exceeds the limit") as exc:
