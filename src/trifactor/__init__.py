@@ -8,7 +8,6 @@ classifiers, and a CLI / experiment harness.
 
 from .config import Config, load_config
 from .cover import (
-    AugmentState,
     ExtremeWitness,
     Extreme,
     Improved,

@@ -109,7 +109,7 @@ def _cmd_gen(args, cfg: Config) -> int:
         base = {"theta3x2": lambda: gen_theta(3, 2),
                 "theta3x3": lambda: gen_theta(3, 3),
                 "gamma3": lambda: gen_gamma(3)}[fam]()
-        if args.eps > 0 or args.delta > 0:
+        if args.eps or args.delta:
             g = approx_blow_up(base, args.t, args.eps, args.delta, args.seed).graph
         else:
             g = blow_up(base, args.t)

@@ -29,18 +29,23 @@ Five layers, from cheap to expensive:
   uncovered vertices plus the k cover triangles with the most edges into
   them, decide that small sub-instance with the exact oracle, and splice
   its factor back in; k doubles on failure.  A failure proves nothing
-  about the whole graph.
+  about the whole graph.  The spliced cover is returned unverified;
+  solve's _verified exit checks it.
 
 * solve - driver: easy path, greedy + augmentation loop, extreme-case
   classification and cover, the endgame, with the exact oracle as the
   fallback for desk-size instances.  When N is not divisible by 3,
   reduce_mod3 peels 1 or 2 triangles and solve runs on the rest; a
   NoFactor there sends the whole graph to the oracle.  A returned
-  NoFactor is always oracle-confirmed on the whole graph.
+  NoFactor is always oracle-confirmed on the whole graph.  Every cover
+  that solve builds (constructive, endgame, extreme-cover, reduction)
+  leaves through _verified, which re-verifies it as a perfect cover;
+  easy_cover verifies its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,8 +89,7 @@ def _check_cover(g: TripartiteGraph, cover: TriangleCover, what: str,
 # ---------------------------------------------------------------------------
 
 
-def easy_cover(g: TripartiteGraph, cfg: Optional[Config] = None,
-               dmin: Optional[int] = None) -> TriangleCover:
+def easy_cover(g: TripartiteGraph, dmin: Optional[int] = None) -> TriangleCover:
     """Perfect cover under min cross-degree >= ceil(3N/4), verified.
 
     dmin is g.min_cross_degree() when the caller already has it."""
@@ -225,18 +229,6 @@ def resize_set(g: TripartiteGraph, c: int, masks, target: int) -> int:
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AugmentState:
-    """Mutable bookkeeping for one exchange-augmentation step."""
-
-    cover: TriangleCover
-    pinned: dict = field(default_factory=dict)   # e1,e2,f1,f3,g2,g3 -> edge
-
-    @classmethod
-    def from_cover(cls, g: TripartiteGraph, cover: TriangleCover) -> "AugmentState":
-        return cls(cover)
 
 
 @dataclass(frozen=True)
@@ -435,10 +427,9 @@ PIN_ORDER = (("e1", 0, 1), ("e2", 0, 1), ("f1", 0, 2), ("f3", 0, 2),
              ("g2", 1, 2), ("g3", 1, 2))
 
 
-def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
-    """One exchange-augmentation step: Improved, Extreme, or Stuck."""
+def augment_once(g: TripartiteGraph, cover: TriangleCover, cfg: Config):
+    """One exchange-augmentation step from cover: Improved, Extreme, or Stuck."""
     n = g.n
-    cover = state.cover
     # a cover leaves n - size vertices uncovered in every class, so this is
     # the step's "at least 4 uncovered vertices per class" condition
     if cover.size >= n - 3:
@@ -455,7 +446,7 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
         return _finish_improved(g, work)
 
     # phases 2-3: create six disjoint pinned edges in the uncovered sets
-    pinned_mask = [0, 0, 0]
+    pinned, pinned_mask = {}, [0, 0, 0]
     for label, ca, cb in PIN_ORDER:
         kind, payload = _pin_edge(g, work, ca, cb, pinned_mask)
         if kind == "extreme":
@@ -466,7 +457,7 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
         if kind == "stuck":
             return Stuck(payload)
         (cu, iu), (cv, iv) = payload
-        state.pinned[label] = payload
+        pinned[label] = payload
         pinned_mask[cu] |= 1 << iu
         pinned_mask[cv] |= 1 << iv
         # an exchange may have opened a direct extension; take it eagerly
@@ -475,14 +466,14 @@ def augment_once(g: TripartiteGraph, state: AugmentState, cfg: Config):
             work.replace([], [t])
             return _finish_improved(g, work)
 
-    return _pinned_phase(g, work, state, cfg)
+    return _pinned_phase(g, work, pinned, cfg)
 
 
-def _pinned_phase(g: TripartiteGraph, work: _Work, state: AugmentState, cfg: Config):
+def _pinned_phase(g: TripartiteGraph, work: _Work, pinned: dict, cfg: Config):
     """The six-pinned-edge endgame: redefined A/B/C sets, their pairwise
-    intersections, and the triangle hunt over (B0+C0, A1+C1, A2+B2)."""
-    pin = state.pinned
-    e1, e2, f1, f3, g2, g3 = (pin[k] for k in ("e1", "e2", "f1", "f3", "g2", "g3"))
+    intersections, and the triangle hunt over (B0+C0, A1+C1, A2+B2).
+    pinned maps e1, e2, f1, f3, g2, g3 to their edges."""
+    e1, e2, f1, f3, g2, g3 = (pinned[k] for k in ("e1", "e2", "f1", "f3", "g2", "g3"))
 
     def sees(c: int, v: int, edge) -> bool:
         (cx, ix), (cy, iy) = edge
@@ -590,45 +581,17 @@ def _companion_plan(g, work, sets, companions, hunt: Triangle):
                         opts.append(cand)
         options.append(opts)
 
-    need = len(removed)
     # choose a subset of companions, at most one per hunt vertex, that is
-    # vertex-disjoint from the hunt triangle and from each other
+    # vertex-disjoint from the hunt triangle and from each other, and uses
+    # only uncovered vertices and those of removed triangles
+    free = [work.unc(c) | mask_of(t[c] for t in removed) for c in range(3)]
     best = None
-    import itertools
     for choice in itertools.product(*[opts + [None] for opts in options]):
-        chosen = [c for c in choice if c is not None]
-        if len(chosen) < need:
+        added = [hunt] + [t for t in choice if t is not None]
+        if len(added) <= max(len(removed), len(best[1]) if best else 0):
             continue
-        added = [hunt] + chosen
-        used = [0, 0, 0]
-        ok = True
-        for t in added:
-            for c, i in enumerate(t):
-                bit = 1 << i
-                if used[c] & bit:
-                    ok = False
-                    break
-                used[c] |= bit
-            if not ok:
-                break
-        if not ok:
-            continue
-        # additions may only reuse vertices of removed triangles or pins
-        removed_masks = [0, 0, 0]
-        for t in removed:
-            for c, i in enumerate(t):
-                removed_masks[c] |= 1 << i
-        conflict = False
-        for t in added:
-            for c, i in enumerate(t):
-                if i in work.owner[c] and not removed_masks[c] >> i & 1:
-                    conflict = True
-                    break
-            if conflict:
-                break
-        if conflict:
-            continue
-        if best is None or len(added) > len(best[1]):
+        used = [mask_of(t[c] for t in added) for c in range(3)]
+        if all(u.bit_count() == len(added) and not u & ~f for u, f in zip(used, free)):
             best = (removed, added)
     return best
 
@@ -736,54 +699,68 @@ def solve(g: TripartiteGraph, cfg: Optional[Config] = None,
     if mode not in ("auto", "exact", "constructive"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        return _exact_outcome(g, cfg, [], budget=budget)
+        return _exact_outcome(g, budget)
 
     n = g.n
-    steps: list[AugmentStepRecord] = []
     dmin = g.min_cross_degree()
-
     # dmin >= ceil(3N/4) and dmin >= ceil(2N/3), cross-multiplied
     if 4 * dmin >= 3 * n:
-        return SolveOutcome("cover", cover=easy_cover(g, cfg, dmin), source="easy")
+        return SolveOutcome("cover", cover=easy_cover(g, dmin), source="easy")
+    # whether the whole-graph oracle decides what the layers leave open
+    oracle = mode == "auto" and n <= cfg.exact_limit
 
     if n % 3:
         if 3 * dmin >= 2 * n:
-            out = _solve_via_reduction(g, cfg, mode, budget)
-            if out is not None:
+            red = reduce_mod3(g)
+            sub = solve(red.graph, cfg, mode, budget)
+            if sub.kind == "cover":
+                cover = TriangleCover(_lift(red.maps, sub.cover) + red.removed)
+                return _verified(g, cover, "reduction", steps=sub.steps,
+                                 endgame=sub.endgame)
+            if sub.kind == "nofactor":
+                # only the oracle says NoFactor, so the reduced graph is within
+                # exact_limit and g within exact_limit + 2: the oracle decides g
+                out = _exact_outcome(g, budget, "exact-fallback")
+                out.steps = sub.steps
                 return out
-        return _fallback(g, cfg, mode, steps, reason="n-not-divisible-by-3",
-                         budget=budget)
+        return _fallback(g, oracle, budget, reason="n-not-divisible-by-3")
 
-    cover = greedy_partial_cover(g, cfg.seed)
-    witness = None
+    steps: list[AugmentStepRecord] = []
+    out = witness = endgame = None
     if cfg.meets_degree_floor(dmin, n):
+        cover = greedy_partial_cover(g, cfg.seed)
         while cover.size <= n - 4:
-            state = AugmentState.from_cover(g, cover)
-            out = augment_once(g, state, cfg)
-            if isinstance(out, Improved):
-                steps.append(AugmentStepRecord(cover.size, out.cover.size, out.replaced))
-                cover = out.cover
-                continue
-            if isinstance(out, Extreme):
-                witness = out.witness
-                resolved = _extreme_path(g, witness, cfg, steps, mode, budget)
-                if resolved is not None:
-                    return resolved
-            break
+            step = augment_once(g, cover, cfg)
+            if not isinstance(step, Improved):
+                if isinstance(step, Extreme):
+                    witness = step.witness
+                    out = _extreme_path(g, witness, cfg, oracle, budget)
+                break
+            steps.append(AugmentStepRecord(cover.size, step.cover.size, step.replaced))
+            cover = step.cover
         if cover.size == n:
-            _check_cover(g, cover, "augmentation loop", require_perfect=True)
-            return SolveOutcome("cover", cover=cover, source="constructive", steps=steps)
-        if (witness is None and mode == "auto" and n > cfg.exact_limit
-                and cover.size >= n - 3):
-            finished, record = _endgame(g, cover, cfg, budget)
+            out = _verified(g, cover, "constructive")
+        elif witness is None and mode == "auto" and not oracle and cover.size >= n - 3:
+            finished, endgame = _endgame(g, cover, cfg, budget)
             if finished is not None:
-                return SolveOutcome("cover", cover=finished, source="endgame",
-                                    steps=steps, endgame=record)
-            out = _fallback(g, cfg, mode, steps, budget=budget)
-            out.endgame = record
-            return out
+                out = _verified(g, finished, "endgame")
+    if out is None:
+        out = _fallback(g, oracle, budget, witness)
+    out.steps, out.endgame = steps, endgame
+    return out
 
-    return _fallback(g, cfg, mode, steps, witness=witness, budget=budget)
+
+def _verified(g: TripartiteGraph, cover: TriangleCover, source: str,
+              **fields) -> SolveOutcome:
+    """The cover outcome of source, after the soundness gate accepts cover."""
+    _check_cover(g, cover, source, require_perfect=True)
+    return SolveOutcome("cover", cover=cover, source=source, **fields)
+
+
+def _lift(maps, cover: TriangleCover) -> list[Triangle]:
+    """cover's triangles in the indices that maps, one list per class, give."""
+    m0, m1, m2 = maps
+    return [Triangle(m0[a], m1[b], m2[c]) for a, b, c in cover.triangles]
 
 
 def _endgame(g: TripartiteGraph, cover: TriangleCover, cfg: Config,
@@ -797,8 +774,9 @@ def _endgame(g: TripartiteGraph, cover: TriangleCover, cfg: Config,
     k runs 3, 6, 12, ... while it is at most exact_limit - d, so a
     sub-instance is never larger than the whole graphs the oracle fallback
     is trusted with; as solve only calls it at N > exact_limit, some cover
-    triangle is always kept.  Returns the verified perfect cover, or None
-    when no round found one, with the record.  A None decides nothing.
+    triangle is always kept.  Returns the perfect cover, which solve's gate
+    verifies, or None when no round found one, with the record.  A None
+    decides nothing.
     """
     n = g.n
     d = n - cover.size
@@ -824,38 +802,33 @@ def _endgame(g: TripartiteGraph, cover: TriangleCover, cfg: Config,
         calls += 1
         nodes += res.stats.nodes_expanded
         if res.status == COVER:
-            m0, m1, m2 = maps
-            lifted = [Triangle(m0[a], m1[b], m2[c]) for a, b, c in res.cover.triangles]
-            finished = TriangleCover([tris[j] for j in order[k:]] + lifted)
-            _check_cover(g, finished, "endgame", require_perfect=True)
+            finished = TriangleCover([tris[j] for j in order[k:]] + _lift(maps, res.cover))
             return finished, EndgameRecord(k, calls, nodes)
         freed = k
         k *= 2
     return None, EndgameRecord(freed, calls, nodes)
 
 
-def _exact_outcome(g, cfg, steps, witness=None, structure=None,
-                   source="exact-oracle", budget=None):
+def _exact_outcome(g, budget, source="exact-oracle", witness=None, structure=None):
     res = exact_factor(g, budget=budget)
     if res.status == COVER:
-        return SolveOutcome("cover", cover=res.cover, source=source, steps=steps,
+        return SolveOutcome("cover", cover=res.cover, source=source,
                             witness=witness, structure=structure)
     if res.status == NO_FACTOR:
-        return SolveOutcome("nofactor", source="exact-oracle", steps=steps,
+        return SolveOutcome("nofactor", source="exact-oracle",
                             witness=witness, structure=structure)
-    return SolveOutcome("indeterminate", reason="budget", steps=steps)
+    return SolveOutcome("indeterminate", reason="budget")
 
 
-def _fallback(g, cfg, mode, steps, witness=None, reason="stuck", budget=None):
-    if mode != "constructive" and g.n <= cfg.exact_limit:
-        return _exact_outcome(g, cfg, steps, witness=witness,
-                              source="exact-fallback", budget=budget)
+def _fallback(g, oracle: bool, budget, witness=None, reason="stuck"):
+    if oracle:
+        return _exact_outcome(g, budget, "exact-fallback", witness)
     if witness is not None:
-        return SolveOutcome("extreme", witness=witness, steps=steps, reason=reason)
-    return SolveOutcome("indeterminate", reason=reason, steps=steps)
+        return SolveOutcome("extreme", witness=witness, reason=reason)
+    return SolveOutcome("indeterminate", reason=reason)
 
 
-def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps, mode: str,
+def _extreme_path(g, witness: ExtremeWitness, cfg: Config, oracle: bool,
                   budget: Optional[int]):
     """Classify the witness, discriminate gamma vs theta, and run the
     extreme-case cover.  Returns a SolveOutcome or None to fall back."""
@@ -873,15 +846,12 @@ def _extreme_path(g, witness: ExtremeWitness, cfg: Config, steps, mode: str,
     except WitnessInvalidError:
         return None
     if result.kind == "cover":
-        _check_cover(g, result.cover, "extreme-case cover", require_perfect=True)
-        return SolveOutcome("cover", cover=result.cover, witness=witness,
-                            structure=sw, source="extreme-cover", steps=steps)
+        return _verified(g, result.cover, "extreme-cover", witness=witness, structure=sw)
     # exact gamma3 with odd scale: the one genuinely uncoverable family
-    if mode != "constructive" and g.n <= cfg.exact_limit:
-        return _exact_outcome(g, cfg, steps, witness=witness, structure=sw,
-                              budget=budget)
+    if oracle:
+        return _exact_outcome(g, budget, witness=witness, structure=sw)
     return SolveOutcome("indeterminate", reason="gamma3-witness",
-                        witness=witness, structure=sw, steps=steps)
+                        witness=witness, structure=sw)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +866,7 @@ class ReduceResult:
     maps: list               # per class: new index -> old index
 
 
-def reduce_mod3(g: TripartiteGraph, cfg: Optional[Config] = None) -> ReduceResult:
+def reduce_mod3(g: TripartiteGraph) -> ReduceResult:
     """Remove 1 (N=3t+1) or 2 (N=3t+2) disjoint triangles, leaving a balanced
     graph on 3t vertices with min cross-degree >= 2t.
 
@@ -1014,22 +984,3 @@ def _best_triangle(g: TripartiteGraph, keep) -> Optional[Triangle]:
                     if score == s01:
                         break  # no later v2 on this edge can score higher
     return best
-
-
-def _solve_via_reduction(g: TripartiteGraph, cfg: Config, mode: str,
-                         budget: Optional[int]) -> Optional[SolveOutcome]:
-    red = reduce_mod3(g, cfg)
-    sub_out = solve(red.graph, cfg, mode, budget)
-    if sub_out.kind == "cover":
-        lifted = [Triangle(*(red.maps[c][t[c]] for c in range(3)))
-                  for t in sub_out.cover.triangles]
-        cover = TriangleCover(lifted + red.removed)
-        _check_cover(g, cover, "reduction lift", require_perfect=True)
-        return SolveOutcome("cover", cover=cover, source="reduction",
-                            steps=sub_out.steps, endgame=sub_out.endgame)
-    if sub_out.kind == "nofactor":
-        # only the oracle says NoFactor, so the reduced graph is within
-        # exact_limit and g within exact_limit + 2: the oracle decides g
-        return _exact_outcome(g, cfg, sub_out.steps, source="exact-fallback",
-                              budget=budget)
-    return None

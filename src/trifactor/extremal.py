@@ -633,7 +633,7 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config
         return m
 
     if sw.model == GAMMA3:
-        _rebalance_gamma_col0(g, masks, colored, t, eta_t)
+        _rebalance_gamma_col0(g, masks, colored, t)
     _rebalance_cols(g, sw.model, masks, colored, t)
     for c in range(3):
         for j in range(3):
@@ -697,14 +697,14 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config
     # per-label covering
     tris: list[Triangle] = list(parity)
     for lab in _labels(sw.model):
-        tris.extend(_cover_label(g, sw.model, lab, pieces[lab], colored))
+        tris.extend(_cover_label(g, lab, pieces[lab], colored))
     cover = TriangleCover(tris)
     if not verify_cover(g, cover, require_perfect=True).ok:
         raise WitnessInvalidError("assembled cover failed verification")
     return ExtremeCoverResult("cover", cover)
 
 
-def _rebalance_gamma_col0(g, masks, colored, t, eta_t):
+def _rebalance_gamma_col0(g, masks, colored, t):
     """Red edges shrink oversized column-0 sets, green moves feed deficits."""
     for a in range(3):
         while masks[a][0].bit_count() > t:
@@ -720,7 +720,6 @@ def _rebalance_gamma_col0(g, masks, colored, t, eta_t):
                         if (a, u) in colored:
                             continue
                         j = 1 if masks[a][1].bit_count() <= masks[a][2].bit_count() else 2
-                        c = 3 - a - b
                         lab = ("g", b, j)
                         masks[a][0] &= ~(1 << u)
                         masks[a][j] |= 1 << u
@@ -807,7 +806,7 @@ def _rebalance_cols(g, model, masks, colored, t):
             raise WitnessInvalidError("no blue anchor edge available")
 
 
-def _cover_label(g: TripartiteGraph, model, lab, piece, colored) -> list[Triangle]:
+def _cover_label(g: TripartiteGraph, lab, piece, colored) -> list[Triangle]:
     """Cover one label's triple: colored edges first, then solo colored
     vertices, then the 3/4-degree double matching on what remains."""
     slots = _label_slots(lab)

@@ -200,6 +200,8 @@ def gen_random_min_degree(n: int, delta_frac: float, seed: int) -> TripartiteGra
     lowest-degree non-neighbor (ties by index).  Deterministic for a given
     seed.
     """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     if not 0 <= delta_frac <= 1:
         raise ParameterError("delta_frac must be in [0,1]")
     rng = random.Random(f"random-min-degree:{seed}")

@@ -130,7 +130,7 @@ def test_criterion_06_augmentation_contract():
     instance family to give the per-step assertion substance.
     """
     from trifactor.cover import (
-        AugmentState, Extreme, Improved, augment_once, greedy_partial_cover,
+        Extreme, Improved, augment_once, greedy_partial_cover,
     )
     from trifactor.graph import TriangleCover
 
@@ -142,7 +142,7 @@ def test_criterion_06_augmentation_contract():
         cover = TriangleCover(base.triangles[: max(0, g.n - 6)])
         while cover.size < g.n - 3 and \
                 min(cover.uncovered_mask(g.n, c).bit_count() for c in range(3)) >= 4:
-            out = augment_once(g, AugmentState.from_cover(g, cover), cfg)
+            out = augment_once(g, cover, cfg)
             if isinstance(out, Improved):
                 steps.append(_Step(cover.size, out.cover.size, out.replaced))
                 cover = out.cover

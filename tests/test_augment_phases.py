@@ -6,14 +6,18 @@ exercised here on hand-built covers where exactly one move applies.  Every
 expected state change is asserted against the real graph.
 """
 
+import random
+
 import pytest
 
+import trifactor.cover
 from trifactor.config import Config
 from trifactor.cover import (
-    AugmentState,
+    Extreme,
     Improved,
     _exchange_for_edge,
     _pinned_phase,
+    _tri_from_edge,
     _Work,
     MAX_REPLACED,
 )
@@ -130,9 +134,7 @@ def test_pinned_phase_intersection_move():
     ] + _pin_edges(pins)
     g = build_graph(n, edges)
     work = work_on(g, [Triangle(0, 0, 0), Triangle(1, 1, 1)])
-    state = AugmentState.from_cover(g, work.to_cover())
-    state.pinned = pins
-    out = _pinned_phase(g, work, state, Config())
+    out = _pinned_phase(g, work, pins, Config())
     assert isinstance(out, Improved)
     assert out.cover.size == 3
     assert out.replaced == 2
@@ -158,14 +160,112 @@ def test_pinned_phase_hunt_with_companions():
     ] + _pin_edges(pins)
     g = build_graph(n, edges)
     work = work_on(g, [Triangle(0, 0, 0), Triangle(1, 1, 1), Triangle(2, 2, 2)])
-    state = AugmentState.from_cover(g, work.to_cover())
-    state.pinned = pins
-    out = _pinned_phase(g, work, state, Config())
+    out = _pinned_phase(g, work, pins, Config())
     assert isinstance(out, Improved)
     assert out.cover.size == 4
     assert out.replaced <= MAX_REPLACED
     assert Triangle(0, 1, 2) in out.cover.triangles
     assert verify_cover(g, out.cover).ok
+
+
+def reference_companion_plan(g, work, sets, companions, hunt):
+    """_companion_plan as it was before its disjointness and reuse checks
+    became one pass over masks, kept verbatim as the reference."""
+    removed = []
+    for c, z in enumerate(hunt):
+        t = work.owner[c][z]
+        if t not in removed:
+            removed.append(t)
+    if len(removed) == 1:
+        return None  # the hunt triangle is an existing cover triangle
+
+    options = []
+    for c, z in enumerate(hunt):
+        opts = []
+        for key, slot, edge in companions[c]:
+            t = sets[key].get(z)
+            if t is not None and t is work.owner[c][z]:
+                v = t[slot]
+                if v != hunt[slot]:
+                    cand = _tri_from_edge(edge, slot, v)
+                    if g.triangle_exists(cand):
+                        opts.append(cand)
+        options.append(opts)
+
+    need = len(removed)
+    # choose a subset of companions, at most one per hunt vertex, that is
+    # vertex-disjoint from the hunt triangle and from each other
+    best = None
+    import itertools
+    for choice in itertools.product(*[opts + [None] for opts in options]):
+        chosen = [c for c in choice if c is not None]
+        if len(chosen) < need:
+            continue
+        added = [hunt] + chosen
+        used = [0, 0, 0]
+        ok = True
+        for t in added:
+            for c, i in enumerate(t):
+                bit = 1 << i
+                if used[c] & bit:
+                    ok = False
+                    break
+                used[c] |= bit
+            if not ok:
+                break
+        if not ok:
+            continue
+        # additions may only reuse vertices of removed triangles or pins
+        removed_masks = [0, 0, 0]
+        for t in removed:
+            for c, i in enumerate(t):
+                removed_masks[c] |= 1 << i
+        conflict = False
+        for t in added:
+            for c, i in enumerate(t):
+                if i in work.owner[c] and not removed_masks[c] >> i & 1:
+                    conflict = True
+                    break
+            if conflict:
+                break
+        if conflict:
+            continue
+        if best is None or len(added) > len(best[1]):
+            best = (removed, added)
+    return best
+
+
+def _pinned_phase_result(g, cover, pins):
+    out = _pinned_phase(g, work_on(g, cover), pins, Config())
+    if isinstance(out, Improved):
+        return out.replaced, out.cover.triangles
+    return out.witness.sets if isinstance(out, Extreme) else out.reason
+
+
+def test_companion_plan_matches_reference(monkeypatch):
+    # cover (i, i, i) for i < N - 4, the standard pins on the last four
+    # vertices of each class, and random edges on top
+    new_plan, plans = trifactor.cover._companion_plan, []
+
+    def spy(*args):
+        plans.append(new_plan(*args))
+        return plans[-1]
+
+    for seed in range(3000):
+        n, density = 7 + seed % 3, (0.3, 0.5, 0.7)[seed // 3 % 3]
+        rng = random.Random(seed)
+        pins = _pins(n)
+        cover = [Triangle(i, i, i) for i in range(n - 4)]
+        edges = [((a, i), (b, j)) for a, b in ((0, 1), (0, 2), (1, 2))
+                 for i in range(n) for j in range(n)
+                 if i == j < n - 4 or rng.random() < density]
+        g = build_graph(n, edges + _pin_edges(pins))
+        monkeypatch.setattr(trifactor.cover, "_companion_plan", spy)
+        got = _pinned_phase_result(g, cover, pins)
+        monkeypatch.setattr(trifactor.cover, "_companion_plan", reference_companion_plan)
+        assert got == _pinned_phase_result(g, cover, pins), seed
+    # the hunt reached the plan often, and the plan often paid off
+    assert len(plans) >= 300 and sum(p is not None for p in plans) >= 150
 
 
 # -- soundness gates of _Work.replace: explicit raises, so they also run

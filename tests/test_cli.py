@@ -181,8 +181,13 @@ def test_other_library_error_exit_code(tmp_path):
     ["gen", "--family", "theta3x2", "--t", "0"],
     ["gen", "--family", "random", "--n", "5", "--min-deg-frac", "1.5"],
     ["gen", "--family", "gamma3", "--t", "2", "--delta", "2"],
+    ["gen", "--family", "gamma3", "--t", "2", "--eps", "-0.5"],
+    ["gen", "--family", "gamma3", "--t", "2", "--delta", "-0.1"],
     ["sweep", "--n", "6", "--fractions", "1.5"],
-], ids=["blow-up-t", "min-deg-frac", "noise-delta", "sweep-fraction"])
+    ["sweep", "--n", "0", "--fractions", "0.5", "--trials", "1"],
+    ["sweep", "--n", "-2", "--fractions", "0.5", "--trials", "1"],
+], ids=["blow-up-t", "min-deg-frac", "noise-delta", "negative-eps", "negative-delta",
+        "sweep-fraction", "sweep-n-zero", "sweep-n-negative"])
 def test_bad_argument_value_is_library_error(tmp_path, capsys, args):
     assert run([*args, "--out", tmp_path / "out"]) == 4
     assert capsys.readouterr().err.startswith("error: ")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import trifactor.cover
 from trifactor.config import Config, as_fraction
 from trifactor.cover import (
-    AugmentState,
     Extreme,
     Improved,
     augment_once,
@@ -29,9 +28,12 @@ from trifactor.errors import (
 )
 from trifactor.exact import COVER, exact_factor
 from trifactor.families import (
+    approx_blow_up,
     complete_tripartite,
     gamma3,
+    gen_gamma,
     gen_random_min_degree,
+    gen_theta,
     theta32,
 )
 from trifactor.graph import (
@@ -201,7 +203,7 @@ def test_greedy_matches_reference_fixed(g):
 def test_augment_direct_extension():
     g = complete_tripartite(6)
     cover = TriangleCover([Triangle(0, 0, 0), Triangle(1, 1, 1)])
-    out = augment_once(g, AugmentState.from_cover(g, cover), Config())
+    out = augment_once(g, cover, Config())
     assert isinstance(out, Improved)
     assert out.cover.size == 3
     assert out.replaced == 1
@@ -212,10 +214,10 @@ def test_augment_preconditions():
     cover = TriangleCover([Triangle(0, 0, 0)])
     with pytest.raises(PreconditionViolatedError):
         # only 3 uncovered per class
-        augment_once(g, AugmentState.from_cover(g, cover), Config())
+        augment_once(g, cover, Config())
     g = theta32(3)  # min degree t = half of the requirement
     with pytest.raises(PreconditionViolatedError):
-        augment_once(g, AugmentState.from_cover(g, TriangleCover([])), Config())
+        augment_once(g, TriangleCover([]), Config())
 
 
 @pytest.mark.parametrize("eps", [0, 0.01, 0.02, 0.05, 0.08])
@@ -236,7 +238,7 @@ def test_augment_loop_improves_until_extreme():
     saw_extreme = False
     while cover.size < g.n - 3 and \
             min(cover.uncovered_mask(g.n, c).bit_count() for c in range(3)) >= 4:
-        out = augment_once(g, AugmentState.from_cover(g, cover), cfg)
+        out = augment_once(g, cover, cfg)
         if isinstance(out, Improved):
             assert out.cover.size == cover.size + 1
             assert out.replaced <= 15
@@ -267,7 +269,7 @@ def test_augment_improves_padded_instance_with_factor():
             res = exact_factor(g)
             cover = res.cover
             break
-        out = augment_once(g, AugmentState.from_cover(g, cover), cfg)
+        out = augment_once(g, cover, cfg)
         if isinstance(out, Improved):
             assert out.cover.size > cover.size
             assert out.replaced <= 15
@@ -280,6 +282,48 @@ def test_augment_improves_padded_instance_with_factor():
             cover = exact_factor(g).cover
             break
     assert verify_cover(g, cover, require_perfect=True).ok
+
+
+def _augment_pin_cases():
+    """(graph, greedy seed, triangles cut from N) for the augment_once pin:
+    truncated greedy covers on noisy blow-ups and random instances, whose
+    steps are mostly direct extensions, and whole greedy covers on padded
+    columns, whose steps go through pins, exchanges, the pinned phase and
+    the sparse-triple witness."""
+    for base in (gen_gamma(3), gen_theta(3, 3)):
+        for t in range(5, 10):
+            for noise in (0, 0.01, 0.02, 0.03):
+                g = approx_blow_up(base, t, 0, noise, t).graph
+                yield from ((g, 0, cut) for cut in (6, 9))
+    for n in range(12, 25):
+        g = gen_random_min_degree(n, 2 / 3, n)
+        yield from ((g, 0, cut) for cut in (6, 9))
+    for q, p in ((4, 4), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)):
+        g = blocked_theta_pads(q, p)
+        yield from ((g, seed, 0) for seed in range(3))
+
+
+# sha256 of every step's kind, replaced count, triangles and witness sets,
+# recorded before AugmentState was folded into augment_once's arguments
+PINNED_AUGMENT = "6c29292db327752fb48c2db68c9a5390a5fdf6c22f8849540af1553708da9b6b"
+
+
+def test_augment_once_outcomes_are_pinned():
+    cfg = Config(eps_prime=0.08)
+    rows, kinds = [], set()
+    for g, seed, cut in _augment_pin_cases():
+        cover = TriangleCover(greedy_partial_cover(g, seed).triangles[: g.n - cut])
+        while cover.size <= g.n - 4:
+            out = augment_once(g, cover, cfg)
+            kinds.add(type(out).__name__)
+            if isinstance(out, Improved):
+                rows.append((out.replaced, [tuple(t) for t in out.cover.triangles]))
+                cover = out.cover
+                continue
+            rows.append(out.witness.sets if isinstance(out, Extreme) else "stuck")
+            break
+    assert kinds == {"Improved", "Extreme", "Stuck"}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_AUGMENT
 
 
 def test_finish_extreme_witness_certifies_or_rejects():

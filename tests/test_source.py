@@ -1,6 +1,6 @@
 """Source checks: soundness gates must survive python -O, the package
-holds no private helper that nothing calls, and every entry point the
-bench tracer wraps exists."""
+holds no private helper that nothing calls and no parameter that nothing
+reads, and every entry point the bench tracer wraps exists."""
 
 import ast
 import importlib
@@ -54,6 +54,36 @@ def test_no_unreferenced_private_definitions():
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and node.name.startswith("_") and not node.name.startswith("__")
              and uses[node.name] == Counter(_names(node))[node.name]]
+    assert found == []
+
+
+def _unread_parameters(module, tree):
+    """(line, function, parameter) for every parameter that its function's
+    body never reads.  A method's first parameter is exempt, and so is the
+    (args, cfg) signature that cli's _cmd_* handlers share for dispatch."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if module == "cli.py" and name.startswith("_cmd_"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        params = [p.arg for p in params][id(node) in methods:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield from ((node.lineno, name, p) for p in params if p not in read)
+
+
+def test_no_unread_parameters():
+    # a parameter the body never reads is a caller-side cost with no effect
+    found = [f"{path.name}:{line}: {name}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name, param in _unread_parameters(
+                 path.name, ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 
