@@ -1,5 +1,7 @@
 """Extremal structure: classification, discrimination, parity, extreme cover."""
 
+import hashlib
+
 import pytest
 
 from trifactor.config import Config
@@ -11,11 +13,15 @@ from trifactor.errors import (
     OddSizeError,
     SizeBandViolatedError,
     SizeOutOfRangeError,
+    TrifactorError,
     WitnessInvalidError,
 )
 from trifactor.exact import NO_FACTOR, exact_factor
 from trifactor.extremal import (
     GAMMA_EXACT,
+    ExtremeCoverResult,
+    ExtremePartition,
+    StructureWitness,
     balanced_random_split,
     classify_extreme_partition,
     classify_theta32,
@@ -368,3 +374,86 @@ def test_extreme_cover_rejects_bad_model():
     sw = witness_from_assignment(g, "theta32", planted_assignment(lambda: gen_theta(3, 2), 2))
     with pytest.raises(WitnessInvalidError):
         extreme_cover(g, sw, Config())
+
+
+# -- pinned outputs -------------------------------------------------------------------
+
+
+def _pin_value(out):
+    """A comparable form of one extremal result (fields that are read only)."""
+    if isinstance(out, StructureWitness):
+        return (out.model, out.t, sorted(out.assignment.items()), out.eps,
+                out.max_nonedge_density)
+    if isinstance(out, ExtremePartition):
+        return (out.a_prime, out.b_prime, out.c_prime)
+    if isinstance(out, ExtremeCoverResult):
+        return (out.kind, out.cover and [tuple(t) for t in out.cover.triangles])
+    if isinstance(out, list):
+        return [tuple(t) for t in out]
+    return repr(out)
+
+
+def _pin_rows():
+    """Every extremal entry point on noisy gamma3/theta33/theta32 blow-ups
+    and on gamma3(t) plus one edge: each result, or the error's type and
+    message, in call order."""
+    rows = []
+
+    def record(fn, *args):
+        try:
+            out = fn(*args)
+        except TrifactorError as e:
+            rows.append((type(e).__name__, str(e)))
+            return None
+        rows.append(_pin_value(out))
+        return out
+
+    def structure(g, model, assignment):
+        sw = record(witness_from_assignment, g, model, assignment)
+        if sw is not None:
+            record(find_parity_triangles, g, sw)
+            for seed in (0, 1):
+                record(extreme_cover, g, sw, Config().with_seed(seed))
+
+    for model, make_base in NOISY_MODELS:
+        for t in range(2, 10):
+            for eps in (0, 0.15, 0.3):
+                for noise in (0, 0.01, 0.02):
+                    for seed in range(4):
+                        res = approx_blow_up(make_base(), t, eps, noise, seed)
+                        g = res.graph
+                        col0 = tuple(tuple(sorted(i for (c, i), (_, j)
+                                                  in res.assignment.items()
+                                                  if c == k and j == 0))
+                                     for k in range(3))
+                        w = ExtremeWitness(col0, (None, None, None))
+                        ep = record(classify_extreme_partition, g,
+                                    ExtremeWitness(col0, w.recheck(g)), 0.8)
+                        if ep is not None:
+                            record(discriminate_gamma_vs_theta, g, ep)
+                        structure(g, model, res.assignment)
+    for t in range(2, 10):
+        for noise in (0, 0.01, 0.02, 0.03, 0.04):
+            for seed in range(4):
+                g = approx_blow_up(gen_theta(3, 2), t, 0.1, noise, seed).graph
+                record(classify_theta32, g, t, 0.2, 0.05)
+    for t in range(2, 10):
+        planted = planted_assignment(lambda: gen_gamma(3), t)
+        for u, v in (((0, t), (1, 2 * t)), ((0, 0), (1, t - 1)), ((2, t), (0, 3 * t - 1))):
+            structure(mutate_add_edge(gamma3(t), u, v), "gamma3", planted)
+    return rows
+
+
+# sha256 of _pin_rows(), recorded before the extremal layer's density check,
+# slot-triangle search and anchor-edge search were each folded into one helper
+PINNED_EXTREMAL = "92a03aa0a1df1dc2a592be8a7c229418d1c73bfaa464045a677dbc7e3af4c1c0"
+
+
+def test_extremal_outputs_are_pinned():
+    rows = _pin_rows()
+    flat = repr(rows)
+    for seen in ("'cover'", "'exact-gamma-odd'", "GAMMA_EXACT", "no red edge",
+                 "no blue anchor edge", "for a green vertex", "NotTriangleFreeError",
+                 "SizeBandViolatedError"):
+        assert seen in flat, seen
+    assert hashlib.sha256(flat.encode()).hexdigest() == PINNED_EXTREMAL
