@@ -64,6 +64,7 @@ from .errors import (
 )
 from .exact import COVER, NO_FACTOR, exact_factor
 from .graph import (
+    CLASS_PAIRS,
     Triangle,
     TriangleCover,
     TripartiteGraph,
@@ -184,10 +185,12 @@ class ExtremeWitness:
         return tuple(mask_of(s) for s in self.sets)
 
     def recheck(self, g: TripartiteGraph) -> tuple[Fraction, Fraction, Fraction]:
-        m = self.masks()
-        return (g.density_masks(0, m[0], 1, m[1]),
-                g.density_masks(0, m[0], 2, m[2]),
-                g.density_masks(1, m[1], 2, m[2]))
+        return _pair_densities(g, self.masks())
+
+
+def _pair_densities(g: TripartiteGraph, m) -> tuple[Fraction, Fraction, Fraction]:
+    """d(S0,S1), d(S0,S2), d(S1,S2) of the three class masks m."""
+    return tuple(g.density_masks(a, m[a], b, m[b]) for a, b in CLASS_PAIRS)
 
 
 def finish_extreme_witness(g: TripartiteGraph, masks, cfg: Config
@@ -200,9 +203,7 @@ def finish_extreme_witness(g: TripartiteGraph, masks, cfg: Config
     cur = list(masks)
     for c in range(3):
         cur[c] = resize_set(g, c, cur, target)
-    dens = (g.density_masks(0, cur[0], 1, cur[1]),
-            g.density_masks(0, cur[0], 2, cur[2]),
-            g.density_masks(1, cur[1], 2, cur[2]))
+    dens = _pair_densities(g, cur)
     if max(dens) >= cfg.delta0_frac:
         return None
     return ExtremeWitness(tuple(tuple(iter_bits(m)) for m in cur), dens)
@@ -470,7 +471,7 @@ def augment_once(g: TripartiteGraph, cover: TriangleCover, cfg: Config):
 
 
 def _pinned_phase(g: TripartiteGraph, work: _Work, pinned: dict, cfg: Config):
-    """The six-pinned-edge endgame: redefined A/B/C sets, their pairwise
+    """The pinned phase: redefined A/B/C sets, their pairwise
     intersections, and the triangle hunt over (B0+C0, A1+C1, A2+B2).
     pinned maps e1, e2, f1, f3, g2, g3 to their edges."""
     e1, e2, f1, f3, g2, g3 = (pinned[k] for k in ("e1", "e2", "f1", "f3", "g2", "g3"))

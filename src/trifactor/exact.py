@@ -62,7 +62,6 @@ t + 1 nodes where the node search needs thousands.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,7 +79,6 @@ BUDGET = "budget"
 class SearchStats:
     nodes_expanded: int = 0
     max_depth: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -278,12 +276,8 @@ class _Searcher:
         return c0, c1, c2
 
     def run(self) -> None:
-        start = time.perf_counter()
-        try:
-            if not (self.twin_pruning and self._quotient()):
-                self._search()
-        finally:
-            self.stats.elapsed = time.perf_counter() - start
+        if not (self.twin_pruning and self._quotient()):
+            self._search()
 
     def _search(self) -> None:
         """The node search, from the root with every vertex free."""

@@ -7,6 +7,12 @@ witness is a total assignment of vertices to clusters plus the realized
 maximum density over the model's non-edge cluster pairs, so a witness can
 always be re-certified from the graph alone.
 
+Each structural primitive is stated once: _max_nonedge_density is the one
+sparse-pair check (witness certification, classify_theta32's acceptance
+and the exact-gamma test), _slot_triangles the one search for triangles in
+cluster slots (the parity triples), and _anchor_edge the one search for an
+uncolored anchor edge (the red and blue rebalancing moves).
+
 Recognition: classify_theta32 resizes cover's anchored sparse triple into
 the two-column structure.  For gamma3 vs theta33, the degree refinement
 classify_extreme_partition finds the column-0 sets A', and
@@ -41,7 +47,8 @@ from .errors import (
     SizeOutOfRangeError,
     WitnessInvalidError,
 )
-from .graph import Triangle, TriangleCover, TripartiteGraph, iter_bits, mask_of, verify_cover
+from .graph import (CLASS_PAIRS, Triangle, TriangleCover, TripartiteGraph, iter_bits, mask_of,
+                    verify_cover)
 
 GAMMA3 = "gamma3"
 THETA33 = "theta33"
@@ -86,24 +93,30 @@ class StructureWitness:
 
     def self_certify(self, g: TripartiteGraph) -> Fraction:
         """Recompute the max non-edge density from the assignment."""
-        masks = self.cluster_masks()
-        worst = Fraction(0)
-        cols = MODEL_COLS[self.model]
-        for ca in range(3):
-            for cb in range(ca + 1, 3):
-                for ja in range(cols):
-                    for jb in range(cols):
-                        if not model_sparse(self.model, ja, jb):
-                            continue
-                        if masks[ca][ja] and masks[cb][jb]:
-                            d = g.density_masks(ca, masks[ca][ja], cb, masks[cb][jb])
-                            worst = max(worst, d)
-        return worst
+        return _max_nonedge_density(g, self.model, self.cluster_masks())
+
+
+def _max_nonedge_density(g: TripartiteGraph, model: str, masks) -> Fraction:
+    """Max density over the model's non-edge cluster pairs, masks[c][j]
+    being cluster (c, j); pairs with an empty cluster are skipped."""
+    cols = range(MODEL_COLS[model])
+    return max((g.density_masks(ca, masks[ca][ja], cb, masks[cb][jb])
+                for ca, cb in CLASS_PAIRS for ja in cols for jb in cols
+                if model_sparse(model, ja, jb) and masks[ca][ja] and masks[cb][jb]),
+               default=Fraction(0))
 
 
 def witness_from_assignment(g: TripartiteGraph, model: str, assignment: dict
                             ) -> StructureWitness:
-    t = max(1, g.n // MODEL_COLS[model])
+    if model not in MODEL_COLS:
+        raise ModelMismatchError(f"unknown model {model!r}")
+    cols = MODEL_COLS[model]
+    for v, (_, j) in assignment.items():
+        if v[0] not in range(3) or v[1] not in range(g.n):
+            raise WitnessInvalidError(f"vertex {v} is not in the graph")
+        if j not in range(cols):
+            raise WitnessInvalidError(f"vertex {v} assigned to column {j}, outside {model}")
+    t = max(1, g.n // cols)
     sw = StructureWitness(model, t, dict(assignment), 0.0, Fraction(0))
     sizes = [m.bit_count() for row in sw.cluster_masks() for m in row]
     sw.eps = max(abs(s - t) / t for s in sizes)
@@ -160,23 +173,8 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float
             continue
 
         b = [full ^ a[c] for c in range(3)]
-        dens = []
-        good = True
-        for side in (a, b):
-            for ca in range(3):
-                for cb in range(ca + 1, 3):
-                    if not side[ca] or not side[cb]:
-                        good = False
-                        break
-                    d = h.density_masks(ca, side[ca], cb, side[cb])
-                    dens.append(d)
-                    if d > cap:
-                        good = False
-                if not good:
-                    break
-            if not good:
-                break
-        if not good:
+        worst = _max_nonedge_density(h, THETA32, list(zip(a, b)))
+        if worst > cap:
             continue
 
         assignment = {}
@@ -187,7 +185,7 @@ def classify_theta32(h: TripartiteGraph, t: int, eps: float, delta: float
                 assignment[(c, i)] = (c, 1)
         sizes = [m.bit_count() for c in range(3) for m in (a[c], b[c])]
         eps_real = max(abs(s - t) / t for s in sizes)
-        return StructureWitness(THETA32, t, assignment, eps_real, max(dens))
+        return StructureWitness(THETA32, t, assignment, eps_real, worst)
 
     if h.find_triangle() is not None:
         raise NotTriangleFreeError("graph has triangles and no anchor certified")
@@ -204,8 +202,6 @@ class ExtremePartition:
     a_prime: tuple      # masks per class
     b_prime: tuple
     c_prime: tuple
-    theta: float
-    t: int
 
 
 def classify_extreme_partition(g: TripartiteGraph, witness: ExtremeWitness,
@@ -254,8 +250,7 @@ def classify_extreme_partition(g: TripartiteGraph, witness: ExtremeWitness,
         if missing_a > delta1 * t or missing_b > delta1 * t:
             raise SizeBandViolatedError(
                 f"class {c}: witness sets stray from the degree partition")
-    return ExtremePartition(tuple(a_prime), tuple(b_prime), tuple(c_prime),
-                            theta, t)
+    return ExtremePartition(tuple(a_prime), tuple(b_prime), tuple(c_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -355,118 +350,70 @@ def find_parity_triangles(g: TripartiteGraph, sw: StructureWitness):
 
 def _find_parity(g: TripartiteGraph, model: str, masks, allowed):
     av = [[masks[c][j] & allowed[c] for j in range(3)] for c in range(3)]
-
-    def tri_in(slots, extra_used=None):
-        used = extra_used or [0, 0, 0]
-        per_class = [0, 0, 0]
-        for (c, j) in slots:
-            per_class[c] = av[c][j] & ~used[c]
-        return g.find_triangle(*per_class)
-
     if model == THETA33:
-        triples = ([(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 1), (0, 2)],
-                   [(2, 0), (0, 1), (1, 2)])
-        out = []
-        used = [0, 0, 0]
-        for slots in triples:
-            t = tri_in(slots, used)
-            if t is None:
-                return None
-            out.append(t)
-            for c, i in enumerate(t):
-                used[c] |= 1 << i
-        return out
+        return _slot_triangles(g, av, ([(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 1), (0, 2)],
+                                       [(2, 0), (0, 1), (1, 2)]), [0, 0, 0])
+    for t1, rest_slots in _gamma_parity_starts(g, av):
+        rest = _slot_triangles(g, av, rest_slots, [1 << i for i in t1])
+        if rest is not None:
+            return [t1] + rest
+    if _max_nonedge_density(g, GAMMA3, av) == 0:
+        return GAMMA_EXACT
+    return None
 
-    # gamma: first a column-1 x column-2 edge with a column-0 common neighbor
+
+def _gamma_parity_starts(g: TripartiteGraph, av):
+    """First parity triangles of the gamma model on a non-model edge, each
+    with the slot lists of the two triangles that complete it."""
+    # a column-1 x column-2 edge with a column-0 common neighbor
     for ca in range(3):
         for cb in range(3):
             if cb == ca:
                 continue
             cc = 3 - ca - cb
+            # t1 hits (ca,1),(cb,2),(cc,0)
+            rest_slots = ([(ca, 0), (cb, 1), (cc, 1)], [(cb, 0), (ca, 2), (cc, 2)])
             for u in iter_bits(av[ca][1]):
-                row = g.nbr_mask(ca, u, cb) & av[cb][2]
-                for v in iter_bits(row):
+                for v in iter_bits(g.nbr_mask(ca, u, cb) & av[cb][2]):
                     zs = g.nbr_mask(ca, u, cc) & g.nbr_mask(cb, v, cc) & av[cc][0]
                     for z in iter_bits(zs):
-                        t1 = _tri_by_class({ca: u, cb: v, cc: z})
-                        rest = _gamma_rest(g, av, t1, ca, cb, cc, crossed=True)
-                        if rest is not None:
-                            return [t1] + rest
+                        yield _tri_by_class({ca: u, cb: v, cc: z}), rest_slots
     # fallback: an edge inside the column-0 union
     for ca in range(3):
         for cb in range(ca + 1, 3):
             cc = 3 - ca - cb
             for u in iter_bits(av[ca][0]):
-                row = g.nbr_mask(ca, u, cb) & av[cb][0]
-                for v in iter_bits(row):
+                for v in iter_bits(g.nbr_mask(ca, u, cb) & av[cb][0]):
                     for jz in (1, 2):
+                        # t1 hits (ca,0),(cb,0),(cc,jz); jo is the other non-special column
+                        jo = 3 - jz
+                        rest_slots = ([(cc, 0), (ca, jz), (cb, jz)],
+                                      [(ca, jo), (cb, jo), (cc, jo)])
                         zs = g.nbr_mask(ca, u, cc) & g.nbr_mask(cb, v, cc) & av[cc][jz]
                         for z in iter_bits(zs):
-                            t1 = _tri_by_class({ca: u, cb: v, cc: z})
-                            rest = _gamma_rest(g, av, t1, ca, cb, cc,
-                                               crossed=False, jz=jz)
-                            if rest is not None:
-                                return [t1] + rest
-
-    if _gamma_is_exact(g, av):
-        return GAMMA_EXACT
-    return None
+                            yield _tri_by_class({ca: u, cb: v, cc: z}), rest_slots
 
 
 def _tri_by_class(by_class: dict) -> Triangle:
     return Triangle(by_class[0], by_class[1], by_class[2])
 
 
-def _gamma_rest(g, av, t1, ca, cb, cc, crossed, jz=None):
-    used = [0, 0, 0]
-    for c, i in enumerate(t1):
-        used[c] |= 1 << i
-
-    def grab(slots):
+def _slot_triangles(g: TripartiteGraph, av, slot_lists, used: list[int]):
+    """One triangle per slot list, each the first with one vertex in every
+    (class, column) slot of av and none in used, which it then joins; None
+    as soon as a slot list has no triangle."""
+    out = []
+    for slots in slot_lists:
         per_class = [0, 0, 0]
-        for (c, j) in slots:
+        for c, j in slots:
             per_class[c] = av[c][j] & ~used[c]
-        t = g.find_triangle(*per_class)
-        if t is not None:
-            for c, i in enumerate(t):
-                used[c] |= 1 << i
-        return t
-
-    if crossed:
-        # t1 hit (ca,1),(cb,2),(cc,0)
-        t2 = grab([(ca, 0), (cb, 1), (cc, 1)])
-        if t2 is None:
+        tri = g.find_triangle(*per_class)
+        if tri is None:
             return None
-        t3 = grab([(cb, 0), (ca, 2), (cc, 2)])
-        if t3 is None:
-            return None
-        return [t2, t3]
-    # t1 hit (ca,0),(cb,0),(cc,jz)
-    jo = 3 - jz  # the other non-special column (1 <-> 2)
-    t2 = grab([(cc, 0), (ca, jz), (cb, jz)])
-    if t2 is None:
-        return None
-    t3 = grab([(ca, jo), (cb, jo), (cc, jo)])
-    if t3 is None:
-        return None
-    return [t2, t3]
-
-
-def _gamma_is_exact(g: TripartiteGraph, av) -> bool:
-    """No edge inside any model non-edge pair of the cluster family."""
-    for ca in range(3):
-        for cb in range(ca + 1, 3):
-            for ja in range(3):
-                for jb in range(3):
-                    if not model_sparse(GAMMA3, ja, jb):
-                        continue
-                    ma, mb = av[ca][ja], av[cb][jb]
-                    if not ma or not mb:
-                        continue
-                    for i in iter_bits(ma):
-                        if g.nbr_mask(ca, i, cb) & mb:
-                            return False
-    return True
+        out.append(tri)
+        for c, i in enumerate(tri):
+            used[c] |= 1 << i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,119 +651,97 @@ def extreme_cover(g: TripartiteGraph, sw: StructureWitness, cfg: Config
     return ExtremeCoverResult("cover", cover)
 
 
+def _anchor_edge(g, masks, colored, a: int, j: int, anchor_col: int):
+    """First uncolored edge (b, w)-(a, u) with w in cluster (b, anchor_col)
+    and u in cluster (a, j), as (b, w, u): b ascending, then w, then u."""
+    for b in range(3):
+        if b == a:
+            continue
+        for w in iter_bits(masks[b][anchor_col]):
+            if (b, w) in colored:
+                continue
+            for u in iter_bits(g.nbr_mask(b, w, a) & masks[a][j]):
+                if (a, u) not in colored:
+                    return b, w, u
+    return None
+
+
 def _rebalance_gamma_col0(g, masks, colored, t):
     """Red edges shrink oversized column-0 sets, green moves feed deficits."""
     for a in range(3):
         while masks[a][0].bit_count() > t:
-            moved = False
-            for b in range(3):
-                if b == a or moved:
-                    continue
-                for w in iter_bits(masks[b][0]):
-                    if (b, w) in colored:
-                        continue
-                    cands = g.nbr_mask(b, w, a) & masks[a][0]
-                    for u in iter_bits(cands):
-                        if (a, u) in colored:
-                            continue
-                        j = 1 if masks[a][1].bit_count() <= masks[a][2].bit_count() else 2
-                        lab = ("g", b, j)
-                        masks[a][0] &= ~(1 << u)
-                        masks[a][j] |= 1 << u
-                        colored[(a, u)] = _Colored("red", lab, (b, w))
-                        colored[(b, w)] = _Colored("red", lab, (a, u))
-                        moved = True
-                        break
-                    if moved:
-                        break
-            if not moved:
+            edge = _anchor_edge(g, masks, colored, a, 0, 0)
+            if edge is None:
                 raise WitnessInvalidError("no red edge available for column-0 excess")
+            b, w, u = edge
+            j = 1 if masks[a][1].bit_count() <= masks[a][2].bit_count() else 2
+            masks[a][0] &= ~(1 << u)
+            masks[a][j] |= 1 << u
+            colored[(a, u)] = _Colored("red", ("g", b, j), (b, w))
+            colored[(b, w)] = _Colored("red", ("g", b, j), (a, u))
     for a in range(3):
+        others = [o for o in range(3) if o != a]
         while masks[a][0].bit_count() < t:
             j = 1 if masks[a][1].bit_count() >= masks[a][2].bit_count() else 2
-            moved = False
-            for v in iter_bits(masks[a][j]):
-                if (a, v) in colored:
-                    continue
-                lab = ("g", a, j)
-                others = [o for o in range(3) if o != a]
-                if all((g.nbr_mask(a, v, o) & masks[o][j]).bit_count() >= 1
-                       for o in others):
-                    masks[a][j] &= ~(1 << v)
-                    masks[a][0] |= 1 << v
-                    colored[(a, v)] = _Colored("green", lab)
-                    moved = True
-                    break
-            if not moved:
+            v = next((v for v in iter_bits(masks[a][j]) if (a, v) not in colored
+                      and all(g.nbr_mask(a, v, o) & masks[o][j] for o in others)), None)
+            if v is None:
                 raise WitnessInvalidError("no green donor for column-0 deficit")
+            masks[a][j] &= ~(1 << v)
+            masks[a][0] |= 1 << v
+            colored[(a, v)] = _Colored("green", ("g", a, j))
 
 
 def _rebalance_cols(g, model, masks, colored, t):
     """Blue single moves with an anchor edge: one unit of imbalance at a
     time, each paid for by one edge that a later triangle will extend."""
     cols = (1, 2) if model == GAMMA3 else (0, 1, 2)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 9 * t + 9:
-            raise WitnessInvalidError("rebalancing did not converge")
-        over = None
-        for a in range(3):
-            for j in cols:
-                if masks[a][j].bit_count() > t:
-                    over = (a, j)
-                    break
-            if over:
-                break
+    for _ in range(9 * t + 9):
+        over = next(((a, j) for a in range(3) for j in cols if masks[a][j].bit_count() > t),
+                    None)
         if over is None:
-            break
+            return
         a, j_over = over
         j_under = next(j for j in cols if masks[a][j].bit_count() < t)
         anchor_col = j_under if model == GAMMA3 else j_over
-        moved = False
-        for b in range(3):
-            if b == a or moved:
-                continue
-            for w in iter_bits(masks[b][anchor_col]):
-                if (b, w) in colored:
-                    continue
-                cands = g.nbr_mask(b, w, a) & masks[a][j_over]
-                for u in iter_bits(cands):
-                    if (a, u) in colored:
-                        continue
-                    if model == GAMMA3:
-                        c = 3 - a - b
-                        lab = ("g", c, j_under)
-                    else:
-                        perm = [None, None, None]
-                        perm[j_under] = a
-                        perm[anchor_col] = b
-                        j3 = 3 - j_under - anchor_col
-                        perm[j3] = 3 - a - b
-                        lab = ("t",) + tuple(perm)
-                    masks[a][j_over] &= ~(1 << u)
-                    masks[a][j_under] |= 1 << u
-                    colored[(a, u)] = _Colored("blue", lab, (b, w))
-                    colored[(b, w)] = _Colored("blue", lab, (a, u))
-                    moved = True
-                    break
-                if moved:
-                    break
-        if not moved:
+        edge = _anchor_edge(g, masks, colored, a, j_over, anchor_col)
+        if edge is None:
             raise WitnessInvalidError("no blue anchor edge available")
+        b, w, u = edge
+        if model == GAMMA3:
+            lab = ("g", 3 - a - b, j_under)
+        else:
+            perm = [None, None, None]
+            perm[j_under] = a
+            perm[anchor_col] = b
+            perm[3 - j_under - anchor_col] = 3 - a - b
+            lab = ("t",) + tuple(perm)
+        masks[a][j_over] &= ~(1 << u)
+        masks[a][j_under] |= 1 << u
+        colored[(a, u)] = _Colored("blue", lab, (b, w))
+        colored[(b, w)] = _Colored("blue", lab, (a, u))
+    raise WitnessInvalidError("rebalancing did not converge")
 
 
 def _cover_label(g: TripartiteGraph, lab, piece, colored) -> list[Triangle]:
     """Cover one label's triple: colored edges first, then solo colored
     vertices, then the 3/4-degree double matching on what remains."""
-    slots = _label_slots(lab)
     avail = {c: set(piece[c]) for c in range(3)}
     out: list[Triangle] = []
+    done = set()
 
-    def take(by_class: dict) -> None:
-        for c, i in by_class.items():
-            avail[c].remove(i)
-        out.append(_tri_by_class(by_class))
+    def complete(fixed: dict, what: str) -> None:
+        # the first triangle through the fixed vertices whose other
+        # vertices are available and uncolored
+        found = g.find_triangle(*(1 << fixed[o] if o in fixed else
+                                  mask_of(v for v in avail[o] if (o, v) not in colored)
+                                  for o in range(3)))
+        if found is None:
+            raise WitnessInvalidError(f"no completion for a {what}")
+        for o, v in enumerate(found):
+            avail[o].remove(v)
+        out.append(found)
+        done.update(fixed.items())
 
     items = []
     for c in range(3):
@@ -824,7 +749,6 @@ def _cover_label(g: TripartiteGraph, lab, piece, colored) -> list[Triangle]:
             info = colored.get((c, i))
             if info is not None and info.label == lab:
                 items.append((c, i, info))
-    done = set()
     # paired colored vertices extend their edge by a third-class vertex
     for c, i, info in items:
         if (c, i) in done or info.partner is None:
@@ -832,28 +756,11 @@ def _cover_label(g: TripartiteGraph, lab, piece, colored) -> list[Triangle]:
         cp, ip = info.partner
         if ip not in avail[cp]:
             raise WitnessInvalidError("colored partner missing from its piece")
-        cz = 3 - c - cp
-        z_opts = [z for z in sorted(avail[cz])
-                  if (cz, z) not in colored
-                  and g.nbr_mask(c, i, cz) >> z & 1
-                  and g.nbr_mask(cp, ip, cz) >> z & 1]
-        if not z_opts:
-            raise WitnessInvalidError("no completion for a colored edge")
-        take({c: i, cp: ip, cz: z_opts[0]})
-        done.add((c, i))
-        done.add((cp, ip))
+        complete({c: i, cp: ip}, "colored edge")
     # solo colored vertices need an edge among their neighbors
     for c, i, info in items:
-        if (c, i) in done:
-            continue
-        free = [1 << i if o == c else
-                mask_of(v for v in avail[o] if (o, v) not in colored)
-                for o in range(3)]
-        found = g.find_triangle(*free)
-        if found is None:
-            raise WitnessInvalidError("no completion for a green vertex")
-        take(dict(enumerate(found)))
-        done.add((c, i))
+        if (c, i) not in done:
+            complete({c: i}, "green vertex")
 
     sizes = {len(avail[c]) for c in range(3)}
     if len(sizes) != 1:

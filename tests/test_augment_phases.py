@@ -1,7 +1,7 @@
 """White-box tests of the exchange moves behind augment_once.
 
 Dense random instances almost always admit a direct extension, so the
-deeper moves (single exchanges, the relay, the pinned-edge endgame) are
+deeper moves (single exchanges, the relay, the pinned phase) are
 exercised here on hand-built covers where exactly one move applies.  Every
 expected state change is asserted against the real graph.
 """

@@ -116,6 +116,30 @@ def test_witness_self_certifies():
     assert w.self_certify(g) == w.max_nonedge_density
 
 
+def test_witness_from_assignment_rejects_unknown_model():
+    g = theta33(2)
+    with pytest.raises(ModelMismatchError):
+        witness_from_assignment(g, "foo", planted_assignment(lambda: gen_theta(3, 3), 2))
+
+
+@pytest.mark.parametrize("col", [3, 5, -1])
+def test_witness_from_assignment_rejects_column_outside_model(col):
+    g = theta33(2)
+    assignment = planted_assignment(lambda: gen_theta(3, 3), 2)
+    assignment[(1, 0)] = (1, col)
+    with pytest.raises(WitnessInvalidError, match="outside theta33"):
+        witness_from_assignment(g, "theta33", assignment)
+
+
+@pytest.mark.parametrize("vertex", [(3, 0), (0, 6), (1, -1)])
+def test_witness_from_assignment_rejects_vertex_outside_graph(vertex):
+    g = theta33(2)
+    assignment = planted_assignment(lambda: gen_theta(3, 3), 2)
+    assignment[vertex] = (0, 0)
+    with pytest.raises(WitnessInvalidError, match="not in the graph"):
+        witness_from_assignment(g, "theta33", assignment)
+
+
 # -- classify_extreme_partition ----------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Source checks: soundness gates must survive python -O, the package
-holds no private helper that nothing calls and no parameter that nothing
-reads, and every entry point the bench tracer wraps exists."""
+holds no private helper that nothing calls, no parameter that nothing
+reads and no import that nothing uses, and every entry point the bench
+tracer wraps exists."""
 
 import ast
 import importlib
@@ -84,6 +85,28 @@ def test_no_unread_parameters():
              for path in sorted(SRC.glob("*.py"))
              for line, name, param in _unread_parameters(
                  path.name, ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def _unused_imports(tree):
+    """(line, name) for every module-level import that the module never names."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    yield node.lineno, name
+
+
+def test_no_unused_imports():
+    # an import that nothing reads is left over from deleted code;
+    # __init__.py imports to re-export
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 
